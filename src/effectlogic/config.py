@@ -12,13 +12,10 @@ command line runner does exactly that).
 EPS = 1e-9
 POST_EPS = 1e-8
 
-# Jacobi eigensolver: stop once the off-diagonal Frobenius norm drops
-# below this, give up after the sweep limit.
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-# Eigenvalues of magnitude below this count as kernel directions; the same
-# threshold groups near-degenerate eigenvalues into clusters.
+# Eigenvalues of magnitude below this count as kernel directions.  The
+# same threshold groups near-degenerate eigenvalues into the clusters whose
+# basis the eigenvector gauge rebuilds from the cluster projector, and
+# breaks near-ties between pivot candidates in that gauge.
 KERNEL_TOL = 1e-8
 CLUSTER_TOL = 1e-8
 

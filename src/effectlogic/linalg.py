@@ -1,34 +1,31 @@
 """Dense complex linear algebra for Hermitian matrices.
 
-A self-contained cyclic Jacobi eigensolver with a pinned eigenvector
-gauge, operator square roots, the semidefinite (Loewner) order, traces and
-kernel bases.  Matrices are numpy arrays of complex128; the decomposition
-itself is implemented here so that phases, tie-breaking and thresholds are
-fully deterministic (golden outputs elsewhere depend on this gauge).
+The eigendecomposition, operator square roots, the semidefinite (Loewner)
+order, traces and kernel bases.  Matrices are numpy arrays of complex128.
+The spectrum comes from LAPACK through ``numpy.linalg.eigh``; the
+eigenvector gauge is fixed afterwards by a rule that depends on the
+eigenspaces alone, so any correct solver gives the same vectors (golden
+outputs elsewhere depend on this gauge).
 
-Conventions fixed by the solver:
+Conventions:
 
-* eigenvalues are returned in descending order, ties kept in the order
-  the diagonal produced them (stable sort);
-* near-degenerate eigenvalue clusters (gap below ``CLUSTER_TOL``) are
-  re-orthonormalised by modified Gram-Schmidt;
-* each eigenvector is scaled so its first entry of largest modulus is
-  real and non-negative.
+* eigenvalues are returned in descending order;
+* inside each cluster of eigenvalues closer than ``CLUSTER_TOL`` the
+  basis is Gram-Schmidt over the columns ``P e_i`` of the cluster
+  projector ``P``, largest residual norm first (ties within
+  ``CLUSTER_TOL`` go to the lowest index);
+* each eigenvector is scaled so that its first entry within
+  ``CLUSTER_TOL`` of its largest modulus is real and positive.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-
-
-class JacobiConvergenceError(Exception):
-    """The sweep limit was reached before the off-diagonal mass vanished."""
 
 
 class NotPsdError(ValueError):
@@ -68,75 +65,26 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
-def _offdiag_frobenius(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def eigen_hermitian(a) -> HermitianEigen:
+    """Diagonalise a Hermitian matrix under the canonical gauge.
 
-
-def _rotation(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """The 2x2 unitary that zeroes the (p, q) entry of a Hermitian matrix."""
-    r = abs(apq)
-    phase = apq / r
-    tau = (aqq - app) / (2.0 * r)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-    g = np.array([[c, s], [-s, c]], dtype=np.complex128)
-    return np.diag([1.0, np.conj(phase)]).astype(np.complex128) @ g
-
-
-def eigen_hermitian(a, hermitian_tol: float = 1e-10) -> HermitianEigen:
-    """Diagonalise a Hermitian matrix by cyclic Jacobi rotations.
-
-    The input may deviate from Hermitian by at most ``hermitian_tol`` per
-    entry and is symmetrised before iterating.  Sweeps run until the
-    off-diagonal Frobenius norm falls below ``JACOBI_OFFDIAG_TOL`` and
-    raise after ``JACOBI_MAX_SWEEPS`` sweeps without convergence.
+    The input may deviate from Hermitian by at most ``config.EPS`` per
+    entry and is symmetrised before the decomposition.
     """
     a = as_matrix(a)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if hermitian_deviation(a) > hermitian_tol:
-        raise ValueError(f"matrix is not Hermitian within {hermitian_tol}")
-    if n == 0:
+    if hermitian_deviation(a) > config.EPS:
+        raise ValueError(f"matrix is not Hermitian within {config.EPS}")
+    if a.size == 0:
         return HermitianEigen(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
-
-    work = hermitian_part(a)
-    vecs = np.eye(n, dtype=np.complex128)
-    converged = _offdiag_frobenius(work) < config.JACOBI_OFFDIAG_TOL
-    for _ in range(config.JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) < 1e-18:
-                    continue
-                u = _rotation(work[p, p].real, work[q, q].real, work[p, q])
-                work[[p, q], :] = dagger(u) @ work[[p, q], :]
-                work[:, [p, q]] = work[:, [p, q]] @ u
-                vecs[:, [p, q]] = vecs[:, [p, q]] @ u
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-        converged = _offdiag_frobenius(work) < config.JACOBI_OFFDIAG_TOL
-    if not converged:
-        raise JacobiConvergenceError(
-            f"no convergence after {config.JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    values = np.real(np.diag(work)).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
-    vecs = _orthonormalise_clusters(values, vecs)
-    vecs = _fix_phases(vecs)
-    return HermitianEigen(values, vecs)
+    values, vecs = np.linalg.eigh(hermitian_part(a))
+    values = values[::-1].copy()
+    return HermitianEigen(values, _canonical_gauge(values, vecs[:, ::-1]))
 
 
-def _orthonormalise_clusters(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt inside each near-degenerate eigenvalue cluster."""
+def _canonical_gauge(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rebuild the eigenvector columns from the eigenspaces alone."""
     n = len(values)
     vecs = vecs.copy()
     start = 0
@@ -145,26 +93,19 @@ def _orthonormalise_clusters(values: np.ndarray, vecs: np.ndarray) -> np.ndarray
         while stop < n and values[stop - 1] - values[stop] < config.CLUSTER_TOL:
             stop += 1
         if stop - start > 1:
+            block = vecs[:, start:stop]
+            residual = block @ dagger(block)
             for j in range(start, stop):
-                v = vecs[:, j]
-                for k in range(start, j):
-                    v = v - (vecs[:, k].conj() @ v) * vecs[:, k]
-                norm = np.linalg.norm(v)
-                if norm > 0:
-                    vecs[:, j] = v / norm
+                norms = np.linalg.norm(residual, axis=0)
+                pivot = int(np.argmax(norms >= norms.max() - config.CLUSTER_TOL))
+                q = residual[:, pivot] / norms[pivot]
+                residual = residual - np.outer(q, q.conj() @ residual)
+                vecs[:, j] = q
         start = stop
-    return vecs
-
-
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            vecs[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return vecs
+    moduli = np.abs(vecs)
+    rows = np.argmax(moduli >= moduli.max(axis=0) - config.CLUSTER_TOL, axis=0)
+    pivots = vecs[rows, np.arange(n)]
+    return vecs * (pivots.conj() / np.abs(pivots))
 
 
 def is_psd(a) -> bool:

@@ -330,17 +330,17 @@ class ProjectiveMeasurement:
     predicates: tuple[QPredicate, ...]
 
 
-def projective_compose(projections: Sequence[Effect | np.ndarray],
-                       tol: float = config.POST_EPS) -> ProjectiveMeasurement:
+def projective_compose(projections: Sequence[Effect | np.ndarray]) -> ProjectiveMeasurement:
     """Fold a complete family of orthogonal projections into binary tests.
 
     Requires each input to be a projection, pairwise products to vanish
-    and the family to sum to the identity (all within ``tol``).  The
-    nested binary splits "does outcome i hold, else continue" compose to
-    exactly the given family; the composition is re-derived and verified
-    here before returning.
+    and the family to sum to the identity (all within ``config.POST_EPS``,
+    read at call time).  The nested binary splits "does outcome i hold,
+    else continue" compose to exactly the given family; the composition is
+    re-derived and verified here before returning.
     """
     mats = [p.matrix if isinstance(p, Effect) else as_matrix(p) for p in projections]
+    tol = config.POST_EPS
     if len(mats) < 2:
         raise ValueError("need at least two projections")
     n = mats[0].shape[0]

@@ -1,8 +1,11 @@
 """Eigensolver, square roots, order checks and the matrix text format.
 
 The 2x2 expectations were solved by hand from the characteristic
-polynomial; random matrices are cross-checked against numpy's LAPACK
-eigensolver, which plays no role in the library itself.
+polynomial.  The library's spectrum also comes from LAPACK (through
+numpy's ``eigh``), so the comparison with ``eigvalsh`` checks the
+descending order rather than the solver; the solver-independent checks
+are reconstruction, orthonormality and the trace and Frobenius
+identities.
 """
 
 import numpy as np
@@ -83,6 +86,14 @@ class TestEigenHermitian:
                 pivot = col[int(np.argmax(np.abs(col)))]
                 assert pivot.imag == pytest.approx(0.0, abs=1e-12)
                 assert pivot.real >= 0.0
+
+    def test_phase_pivot_ties_go_to_first_entry(self):
+        # Fourier-basis eigenvectors have entries of equal modulus, which
+        # the solver returns only equal to rounding.
+        for n in (3, 4, 5, 8):
+            f = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n)
+            eig = eigen_hermitian(f @ np.diag(np.linspace(0.1, 0.9, n)) @ dagger(f))
+            assert np.max(np.abs(eig.vectors[0] - 1 / np.sqrt(n))) < 1e-12
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

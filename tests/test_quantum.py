@@ -18,6 +18,7 @@ from effectlogic.quantum import (
     KET0,
     KET1,
     KET_NE,
+    KET_NW,
     DensityMatrix,
     Effect,
     Isometry,
@@ -59,6 +60,13 @@ def proj(vec) -> Effect:
     return projector(PureState(vec))
 
 
+@pytest.fixture
+def restore_config():
+    saved = config.EPS, config.POST_EPS
+    yield
+    config.EPS, config.POST_EPS = saved
+
+
 class TestTypes:
     def test_effect_spectrum_bounds(self):
         with pytest.raises(ValueError):
@@ -87,6 +95,26 @@ class TestTypes:
             Isometry(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             Isometry(np.zeros((1, 2)))
+
+
+class TestToleranceContract:
+    def test_effect_within_eps_is_accepted(self):
+        eff = Effect(np.array([[0.5, 0.1 + 5e-10], [0.1, 0.5]]))
+        assert eff.dim == 2
+
+    def test_set_epsilon_reaches_hermitian_check(self, restore_config):
+        config.set_epsilon(1e-6)
+        eff = Effect(np.array([[0.5, 0.1 + 5e-7], [0.1, 0.5]]))
+        assert eff.dim == 2
+
+    def test_set_epsilon_reaches_projective_compose(self, restore_config):
+        first = np.diag([1.0 - 5e-6, 0.0])
+        family = [first, np.eye(2) - first]
+        with pytest.raises(ValueError):
+            projective_compose(family)
+        config.set_epsilon(1e-6)
+        out = projective_compose(family)
+        assert np.allclose(out.components[0].matrix, first)
 
 
 class TestOrthosum:
@@ -446,6 +474,21 @@ class TestComprehension:
                 assert np.max(
                     np.abs(pulled.first.matrix - np.eye(inc.matrix.shape[1]))
                 ) < 1e-8
+
+    def test_basis_depends_on_subspace_only(self):
+        r = np.random.default_rng(7)
+        for _ in range(20):
+            k = random_isometry(r, 4, 2)
+            w = random_isometry(r, 2, 2)
+            a = comprehension(predicate_from_isometry(k)).matrix
+            b = comprehension(predicate_from_isometry(Isometry(k.matrix @ w.matrix))).matrix
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_phase_tie_goes_to_first_entry(self):
+        s = 1 / np.sqrt(2)
+        for ket, expected in ((KET_NE, [s, s]), (KET_NW, [s, -s])):
+            inc = comprehension(predicate_from_isometry(Isometry(ket.reshape(2, 1))))
+            assert np.max(np.abs(inc.matrix[:, 0] - expected)) < 1e-12
 
 
 class TestMatrixRelationSubstitution:
