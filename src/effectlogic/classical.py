@@ -234,7 +234,7 @@ def stone_states(n: int, cap: int = ea_mod.DEFAULT_HOM_SEARCH_CAP) -> list[int]:
 
     Enumerates the two-valued homomorphisms on the powerset algebra and
     checks that each one is evaluation at a single point; returns those
-    points.  Exhaustive, so n is capped at 4.
+    points.  The powerset table has 3^n entries, so n is capped at 4.
     """
     if not 0 <= n <= 4:
         raise ValueError("n must be between 0 and 4")

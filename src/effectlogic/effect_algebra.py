@@ -5,7 +5,11 @@ orthocomplement x -> x' such that x + x' = 1, x' is the only element
 summing with x to 1, and x + 1 is defined only for x = 0.  Everything in
 this module is finite and table-based: the partial sum is a dictionary
 from ordered pairs of element ids (missing key means undefined), so every
-law can be decided by exhaustive enumeration.
+law can be decided by enumeration.  The checks index the table by row
+(``x -> {y: x + y}``) and visit only defined entries: associativity costs
+one step per defined triple, not |sums| * |E|.  Homomorphisms are found
+by a depth-first search that checks each sum entry as soon as its three
+elements have images and cuts the branch at the first violation.
 
 Element ids are opaque small integers; display names live in a side
 table.  Undefined partial results are returned as ``None`` rather than
@@ -30,7 +34,7 @@ class MalformedAlgebraError(Exception):
 
 
 class HomSearchCapError(Exception):
-    """The brute-force homomorphism search would exceed the candidate cap."""
+    """The homomorphism search visited more partial maps than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -116,13 +120,35 @@ def _structural_check(ea: FiniteEffectAlgebra) -> None:
             raise MalformedAlgebraError(f"perp({x}) = {ea.perp[x]} not in universe")
 
 
+def _rows(ea: FiniteEffectAlgebra) -> dict[int, dict[int, int]]:
+    """The sum table by row, ``rows[x] = {y: x + y}``, each row in element order.
+
+    Two linear passes and no sort: the first groups the entries by right
+    argument, the second walks those groups in element order, so every
+    row receives its keys in element order.
+    """
+    by_right: dict[int, dict[int, int]] = {x: {} for x in ea.elements}
+    rows: dict[int, dict[int, int]] = {x: {} for x in ea.elements}
+    try:
+        for (x, y), v in ea.sums.items():
+            by_right[y][x] = v
+        for y in ea.elements:
+            for x, v in by_right[y].items():
+                rows[x][y] = v
+    except KeyError as exc:
+        raise MalformedAlgebraError(f"sum table references unknown element {exc.args[0]}") from None
+    return rows
+
+
 def check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
-    """Exhaustively verify the partial-monoid and orthocomplement laws.
+    """Verify the partial-monoid and orthocomplement laws on every entry.
 
     Laws are tested in a fixed order (commutativity, associativity, zero
     identity, complement sum, the zero law ``x + 1 defined => x = 0``,
     uniqueness of complements) and the first failure is reported with a
-    minimal witness tuple.  Malformed tables raise instead.
+    minimal witness tuple.  Malformed tables raise instead.  The row index
+    only skips undefined pairs, so each witness is the first one that plain
+    loops over ``sums`` and ``elements`` would meet.
     """
     _structural_check(ea)
     sums = ea.sums
@@ -132,16 +158,13 @@ def check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
         if w is None or w != v:
             return AxiomReport(False, "commutativity", (x, y))
 
+    rows = _rows(ea)
+    # x + (y + z) is defined exactly for x in the row of y + z (commutativity
+    # holds from here on), so only defined triples are visited
     for (y, z), yz in sums.items():
-        for x in ea.elements:
-            outer = sums.get((x, yz))
-            if outer is None:
-                continue
-            xy = sums.get((x, y))
-            if xy is None:
-                return AxiomReport(False, "associativity", (x, y, z))
-            other = sums.get((xy, z))
-            if other is None or other != outer:
+        for x, outer in rows[yz].items():
+            xy = rows[x].get(y)
+            if xy is None or rows[xy].get(z) != outer:
                 return AxiomReport(False, "associativity", (x, y, z))
 
     for x in ea.elements:
@@ -157,8 +180,8 @@ def check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
             return AxiomReport(False, "zero-law", (x,))
 
     for x in ea.elements:
-        for y in ea.elements:
-            if sums.get((x, y)) == ea.one and y != ea.perp[x]:
+        for y, v in rows[x].items():
+            if v == ea.one and y != ea.perp[x]:
                 return AxiomReport(False, "orthocomplement-uniqueness", (x, y))
 
     return AxiomReport(True)
@@ -311,14 +334,21 @@ def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
     """
     if top not in ea.elements:
         raise ValueError(f"{top} not in universe")
-    members = [y for y in ea.elements if derived_leq(ea, y, top)]
+    # y is below top iff its row holds top; the first such entry gives top - y
+    comps = {}
+    for y, row in _rows(ea).items():
+        for z, v in row.items():
+            if v == top:
+                comps[y] = z
+                break
+    members = list(comps)
     ids = {y: i for i, y in enumerate(members)}
     elements = tuple(range(len(members)))
     names = {ids[y]: ea.name_of(y) for y in members}
     perp = {}
     for y in members:
-        comp = partial_minus(ea, top, y)
-        if comp is None or comp not in ids:
+        comp = comps[y]
+        if comp not in ids:
             raise MalformedAlgebraError("parent algebra lacks relative complements")
         perp[ids[y]] = ids[comp]
     sums: dict[tuple[int, int], int] = {}
@@ -353,25 +383,58 @@ def is_homomorphism(source: FiniteEffectAlgebra, target: FiniteEffectAlgebra,
 
 def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlgebra,
                             cap: int = DEFAULT_HOM_SEARCH_CAP) -> list[EAHom]:
-    """Brute-force search over all total maps, keeping the homomorphisms.
+    """All homomorphisms, by depth-first search over partial maps.
 
-    Refuses to start when |target| ** |source| exceeds ``cap``.  The
-    image of 1 is pinned to 1 while generating candidates (every
-    homomorphism satisfies it by definition), which shrinks the loop
-    without changing the result set.
+    The image of 1 is pinned to 1 (every homomorphism satisfies it by
+    definition).  The other source elements get images in element order,
+    each trying the target elements in order, and every sum entry is
+    checked at the step that assigns the last of its three elements, so a
+    branch is cut at its first violated entry.  Results come out in the
+    lexicographic order of their images.  The search is iterative, so deep
+    sources do not exhaust the interpreter stack.
+
+    ``cap`` bounds the partial maps visited (one per image tried); the
+    search raises ``HomSearchCapError`` when it would visit more.
     """
-    total = len(target.elements) ** len(source.elements)
-    if total > cap:
-        raise HomSearchCapError(
-            f"search space {len(target.elements)}^{len(source.elements)} = {total} exceeds cap {cap}"
-        )
     rest = [x for x in source.elements if x != source.one]
+    step = {x: i for i, x in enumerate(rest)}
+    step[source.one] = -1
+    pinned = []
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in rest]
+    for (x, y), v in source.sums.items():
+        last = max(step[x], step[y], step[v])
+        (checks[last] if last >= 0 else pinned).append((x, y, v))
+    tsums, images = target.sums, target.elements
+    image = {source.one: target.one}
+    if any(tsums.get((image[x], image[y])) != image[v] for x, y, v in pinned):
+        return []
+
     found = []
-    for images in itertools.product(target.elements, repeat=len(rest)):
-        mapping = dict(zip(rest, images))
-        mapping[source.one] = target.one
-        if is_homomorphism(source, target, mapping):
+    visited = 0
+    tried = [0] * len(rest)  # per depth, how many target elements were tried
+    depth = 0
+    while depth >= 0:
+        if depth == len(rest):
+            mapping = {x: image[x] for x in rest}
+            mapping[source.one] = target.one
             found.append(EAHom(source, target, mapping))
+            depth -= 1
+            continue
+        i = tried[depth]
+        if i == len(images):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = i + 1
+        visited += 1
+        if visited > cap:
+            raise HomSearchCapError(f"homomorphism search visited more than {cap} partial maps")
+        image[rest[depth]] = images[i]
+        for x, y, v in checks[depth]:
+            if tsums.get((image[x], image[y])) != image[v]:
+                break
+        else:
+            depth += 1
     return found
 
 

@@ -3,9 +3,12 @@
 Expected values here come from hand-checkable sources: the six-element
 free-algebra table was written out by hand, hom counts are matched
 against the subset-evaluation argument, and size formulas against the
-amalgamation rule (|E| - 2) + (|D| - 2) + 2.
+amalgamation rule (|E| - 2) + (|D| - 2) + 2.  The indexed checker, the
+downset construction and the backtracking search are also compared with
+plain loops over every pair and every total map, kept here as references.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectlogic.effect_algebra import (
+    AxiomReport,
     FiniteEffectAlgebra,
     HomSearchCapError,
     MalformedAlgebraError,
@@ -286,6 +290,12 @@ class TestConstructions:
         algebra = downset(boolean_powerset_ea(3), 0b011)
         assert algebra.size == 4
 
+    def test_downset_of_malformed_table_raises(self):
+        algebra = two_element()
+        broken = dataclasses.replace(algebra, sums={**algebra.sums, (7, 0): 7})
+        with pytest.raises(MalformedAlgebraError):
+            downset(broken, algebra.one)
+
     def test_opposite_is_involutive(self):
         for algebra in (mo_free(2), boolean_powerset_ea(2)):
             assert opposite(opposite(algebra)) == algebra
@@ -319,6 +329,22 @@ class TestHomomorphisms:
     def test_cap_guard(self):
         with pytest.raises(HomSearchCapError):
             enumerate_homomorphisms(boolean_powerset_ea(3), boolean_powerset_ea(3), cap=100)
+
+    def test_cap_counts_visited_partial_maps(self):
+        # 2^13 = 8192 total maps, but the search visits 896 partial maps
+        homs = enumerate_homomorphisms(mo_free(6), two_element(), cap=4000)
+        assert len(homs) == 2 ** 6
+
+    def test_deep_source_has_point_evaluations(self):
+        """P(10) has 1023 elements to assign: deeper than the interpreter stack."""
+        homs = enumerate_homomorphisms(boolean_powerset_ea(10), two_element())
+        points = []
+        for hom in homs:
+            ones = [bits for bits, image in hom.mapping.items() if image == 1]
+            point = min(ones)
+            assert ones == [bits for bits in range(1 << 10) if bits & point]
+            points.append(point.bit_length() - 1)
+        assert sorted(points) == list(range(10))
 
     @pytest.mark.parametrize(
         "n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (3, 3)]
@@ -364,3 +390,149 @@ def test_subset_algebra_relations(n, data):
 def test_random_constructions_pass_axioms(n, m):
     algebra = product(mo_free(n), boolean_powerset_ea(m))
     assert check_axioms(algebra).passed
+
+
+# --- references: the plain loops the indexed code must agree with -----------
+
+
+def reference_check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
+    """Every law over every pair or triple of elements, in the checker's order."""
+    sums, elems = ea.sums, ea.elements
+    for (x, y), v in sums.items():
+        if sums.get((y, x)) != v:
+            return AxiomReport(False, "commutativity", (x, y))
+    for (y, z), yz in sums.items():
+        for x in elems:
+            outer = sums.get((x, yz))
+            if outer is None:
+                continue
+            xy = sums.get((x, y))
+            if xy is None or sums.get((xy, z)) != outer:
+                return AxiomReport(False, "associativity", (x, y, z))
+    for x in elems:
+        if sums.get((ea.zero, x)) != x:
+            return AxiomReport(False, "zero-identity", (x,))
+    for x in elems:
+        if sums.get((x, ea.perp[x])) != ea.one:
+            return AxiomReport(False, "orthocomplement-sum", (x,))
+    for x in elems:
+        if (x, ea.one) in sums and x != ea.zero:
+            return AxiomReport(False, "zero-law", (x,))
+    for x in elems:
+        for y in elems:
+            if sums.get((x, y)) == ea.one and y != ea.perp[x]:
+                return AxiomReport(False, "orthocomplement-uniqueness", (x, y))
+    return AxiomReport(True)
+
+
+def reference_downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
+    """The interval below ``top`` from ``derived_leq`` and ``partial_minus`` scans."""
+    members = [y for y in ea.elements if derived_leq(ea, y, top)]
+    ids = {y: i for i, y in enumerate(members)}
+    comps = [partial_minus(ea, top, y) for y in members]
+    if any(comp not in ids for comp in comps):
+        raise MalformedAlgebraError("parent algebra lacks relative complements")
+    sums = {(ids[x], ids[y]): ids[v] for (x, y), v in ea.sums.items()
+            if x in ids and y in ids and v in ids}
+    return FiniteEffectAlgebra(
+        tuple(range(len(members))), ids[ea.zero], ids[top], sums,
+        {ids[y]: ids[comp] for y, comp in zip(members, comps)},
+        {ids[y]: ea.name_of(y) for y in members},
+    )
+
+
+def reference_homomorphisms(source, target) -> list[dict[int, int]]:
+    """Every total map with 1 -> 1, in ``itertools.product`` order, filtered."""
+    rest = [x for x in source.elements if x != source.one]
+    found = []
+    for images in itertools.product(target.elements, repeat=len(rest)):
+        mapping = dict(zip(rest, images))
+        mapping[source.one] = target.one
+        if is_homomorphism(source, target, mapping):
+            found.append(mapping)
+    return found
+
+
+BASES = [mo_free(n) for n in range(4)] + [boolean_powerset_ea(n) for n in range(5)]
+NONDEGENERATE = [a for a in BASES if a.zero != a.one]
+STOCK_TABLES = (
+    BASES
+    + [opposite(a) for a in BASES]
+    + [product(a, b) for a, b in itertools.product(BASES, repeat=2) if a.size * b.size <= 48]
+    + [coproduct(a, b) for a, b in itertools.product(NONDEGENERATE, repeat=2)]
+)
+
+
+@st.composite
+def mutated_tables(draw, bases=STOCK_TABLES):
+    """A stock table with one to three symmetric edits of its sum table."""
+    base = draw(st.sampled_from(bases))
+    sums = dict(base.sums)
+    element = st.sampled_from(base.elements)
+    # 0 and 1 as values reach the zero-identity and complement laws more often
+    value = st.sampled_from([base.zero, base.one]) | element
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        edit = draw(st.sampled_from(["delete", "rewrite", "add"]))
+        if edit == "add" or not sums:
+            x, y = draw(element), draw(element)
+        else:
+            x, y = draw(st.sampled_from(sorted(sums)))
+        if edit == "delete" and (x, y) in sums:
+            del sums[(x, y)]
+            sums.pop((y, x), None)
+        else:
+            sums[(x, y)] = sums[(y, x)] = draw(value)
+    return dataclasses.replace(base, sums=sums)
+
+
+@settings(max_examples=500, deadline=None)
+@given(algebra=mutated_tables(), data=st.data())
+def test_checker_and_downset_match_references(algebra, data):
+    assert check_axioms(algebra) == reference_check_axioms(algebra)
+    top = data.draw(st.sampled_from(algebra.elements))
+    try:
+        expected = reference_downset(algebra, top)
+    except (MalformedAlgebraError, KeyError) as exc:  # KeyError: 0 or top not below top
+        with pytest.raises(type(exc)):
+            downset(algebra, top)
+    else:
+        built = downset(algebra, top)
+        assert built == expected
+        assert list(built.sums) == list(expected.sums)
+
+
+ONE_PLUS_ONE = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+                                   {0: 1, 1: 0}, {})
+HOM_ALGEBRAS = {
+    "MO0": mo_free(0),
+    "MO1": mo_free(1),
+    "MO2": mo_free(2),
+    "P0": boolean_powerset_ea(0),
+    "P2": boolean_powerset_ea(2),
+    "P3": boolean_powerset_ea(3),
+    "MO2op": opposite(mo_free(2)),
+    "MO1xMO0": product(mo_free(1), mo_free(0)),
+    "MO1+P2": coproduct(mo_free(1), boolean_powerset_ea(2)),
+    "1+1=1": ONE_PLUS_ONE,
+}
+HOM_PAIRS = [
+    pytest.param(s, t, id=f"{s_name}-{t_name}")
+    for (s_name, s), (t_name, t) in itertools.product(HOM_ALGEBRAS.items(), repeat=2)
+    if t.size ** (s.size - 1) <= 5000
+]
+
+
+@pytest.mark.parametrize("source,target", HOM_PAIRS)
+def test_hom_search_matches_reference(source, target):
+    found = enumerate_homomorphisms(source, target)
+    assert all(hom.source is source and hom.target is target for hom in found)
+    got = [list(hom.mapping.items()) for hom in found]
+    assert got == [list(m.items()) for m in reference_homomorphisms(source, target)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=mutated_tables(bases=[mo_free(1), mo_free(2), boolean_powerset_ea(2)]),
+       target=st.sampled_from([mo_free(0), mo_free(1), boolean_powerset_ea(2)]))
+def test_hom_search_matches_reference_on_mutated_sources(source, target):
+    got = [list(hom.mapping.items()) for hom in enumerate_homomorphisms(source, target)]
+    assert got == [list(m.items()) for m in reference_homomorphisms(source, target)]
