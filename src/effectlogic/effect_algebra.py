@@ -24,6 +24,11 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 DEFAULT_HOM_SEARCH_CAP = 10_000_000
 
+# Largest algebras the constructors build, checked before allocating.  P(n)
+# has 3^n sum entries and 4^n defined triples to check (P(10): 0.3 s).
+MAX_MO_GENERATORS = 4096
+MAX_POWERSET_POINTS = 10
+
 
 class MalformedAlgebraError(Exception):
     """A table references an unknown element or is structurally broken.
@@ -220,8 +225,8 @@ def mo_free(n: int) -> FiniteEffectAlgebra:
     generator-plus-partner giving 1.  (The other sums stay undefined; in
     particular 1 is summable with 0 only.)
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= MAX_MO_GENERATORS:
+        raise ValueError(f"n must be between 0 and {MAX_MO_GENERATORS}")
     zero, one = 0, 1
     left = [2 + i for i in range(n)]
     right = [2 + n + i for i in range(n)]
@@ -246,10 +251,10 @@ def boolean_powerset_ea(n: int) -> FiniteEffectAlgebra:
     """The Boolean algebra of subsets of an n-set, summing disjoint pairs.
 
     Element ids are bitmasks over n ground points.  The table holds 3^n
-    entries, so this is meant for small n only.
+    entries, so n is capped at ``MAX_POWERSET_POINTS``.
     """
-    if not 0 <= n <= 16:
-        raise ValueError("n must be between 0 and 16")
+    if not 0 <= n <= MAX_POWERSET_POINTS:
+        raise ValueError(f"n must be between 0 and {MAX_POWERSET_POINTS}")
     full = (1 << n) - 1
     elements = tuple(range(1 << n))
     names = {}
@@ -343,6 +348,8 @@ def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
                 break
     members = list(comps)
     ids = {y: i for i, y in enumerate(members)}
+    if ea.zero not in ids or top not in ids:
+        raise MalformedAlgebraError(f"0 and {top} are not both below {top}")
     elements = tuple(range(len(members)))
     names = {ids[y]: ea.name_of(y) for y in members}
     perp = {}

@@ -5,7 +5,10 @@ order, traces and kernel bases.  Matrices are numpy arrays of complex128.
 The spectrum comes from LAPACK through ``numpy.linalg.eigh``; the
 eigenvector gauge is fixed afterwards by a rule that depends on the
 eigenspaces alone, so any correct solver gives the same vectors (golden
-outputs elsewhere depend on this gauge).
+outputs elsewhere depend on this gauge).  Square roots, as functions of
+the matrix, take the solver's own vectors, and checks that read only the
+extremes of a spectrum take its eigenvalues alone from
+``numpy.linalg.eigvalsh``; neither needs the gauge.
 
 Conventions:
 
@@ -65,22 +68,41 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
+def _checked_hermitian(a) -> np.ndarray:
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if hermitian_deviation(a) > config.EPS:
+        raise ValueError(f"matrix is not Hermitian within {config.EPS}")
+    return a
+
+
+def _eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and the solver's own eigenvector columns."""
+    values, vecs = np.linalg.eigh(hermitian_part(_checked_hermitian(a)))
+    return values[::-1].copy(), vecs[:, ::-1]
+
+
 def eigen_hermitian(a) -> HermitianEigen:
     """Diagonalise a Hermitian matrix under the canonical gauge.
 
     The input may deviate from Hermitian by at most ``config.EPS`` per
     entry and is symmetrised before the decomposition.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if hermitian_deviation(a) > config.EPS:
-        raise ValueError(f"matrix is not Hermitian within {config.EPS}")
-    if a.size == 0:
-        return HermitianEigen(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
-    values, vecs = np.linalg.eigh(hermitian_part(a))
-    values = values[::-1].copy()
-    return HermitianEigen(values, _canonical_gauge(values, vecs[:, ::-1]))
+    values, vecs = _eigh(a)
+    if values.size == 0:
+        return HermitianEigen(values, vecs)
+    return HermitianEigen(values, _canonical_gauge(values, vecs))
+
+
+def eigvals_hermitian(a) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix, descending, without vectors.
+
+    Same input checks as ``eigen_hermitian``; for the checks that read
+    only the extremes of a spectrum, which need no eigenvectors and so no
+    gauge.
+    """
+    return np.linalg.eigvalsh(hermitian_part(_checked_hermitian(a)))[::-1]
 
 
 def _canonical_gauge(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -110,8 +132,8 @@ def _canonical_gauge(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def is_psd(a) -> bool:
     """Positive semidefinite: smallest eigenvalue above -PSD_TOL."""
-    eig = eigen_hermitian(a)
-    return bool(eig.eigenvalues.size == 0 or eig.eigenvalues[-1] >= -config.PSD_TOL)
+    values = eigvals_hermitian(a)
+    return bool(values.size == 0 or values[-1] >= -config.PSD_TOL)
 
 
 def loewner_leq(a, b) -> bool:
@@ -137,12 +159,30 @@ def sqrt_psd(a) -> np.ndarray:
     anything below -PSD_TOL raises ``NotPsdError``.  Projections are
     reproduced sharply, since their spectrum is fixed by the square root.
     """
-    eig = eigen_hermitian(a)
-    values = eig.eigenvalues.copy()
+    values, vecs = _eigh(a)
     if values.size and values[-1] < -config.PSD_TOL:
         raise NotPsdError(f"eigenvalue {values[-1]} below -{config.PSD_TOL}")
-    values[values < config.PSD_TOL] = 0.0
-    root = eig.vectors @ np.diag(np.sqrt(values)) @ dagger(eig.vectors)
+    return _spectral_sqrt(vecs, np.where(values < config.PSD_TOL, 0.0, values))
+
+
+def complementary_sqrts(a) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(A) and sqrt(I - A) of an effect A, from one decomposition.
+
+    Eigenvalues within ``PSD_TOL`` of 0 or 1 are snapped there, so each
+    pair of squared roots sums to exactly 1 and the stacked roots form an
+    isometry that loses no probability mass.
+    """
+    values, vecs = _eigh(a)
+    tol = config.PSD_TOL
+    values = np.where(values < tol, 0.0, np.where(1.0 - values < tol, 1.0, values))
+    return _spectral_sqrt(vecs, values), _spectral_sqrt(vecs, 1.0 - values)
+
+
+def _spectral_sqrt(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # vectors straight from the solver: the canonical gauge rebuilds a
+    # near-degenerate cluster as one eigenspace and would misplace the roots
+    # of its distinct eigenvalues
+    root = vectors @ np.diag(np.sqrt(values)) @ dagger(vectors)
     return hermitian_part(root)
 
 

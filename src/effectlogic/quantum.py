@@ -4,7 +4,12 @@ A predicate on C^n is a pair of effects summing to the identity; the pair
 is a single map C^n -> C^n (+) C^n once the doubled space is read as
 C^{2n} with the first n coordinates forming the left summand.  That
 coordinate convention is normative for every stacked matrix produced
-here.
+here.  The law [id, id] . p = id fixes the right part as I - A, so a
+predicate stores its left effect A alone.
+
+Each value is validated once, from its eigenvalues alone, and not at all
+when its bounds follow from bounds already checked: spec(I - A) is
+1 - spec(A) and spec(s A) is s spec(A).
 
 Substitution along an isometry f is conjugation, componentwise f* q f;
 its scalar case (f a unit column vector) is the probability of the
@@ -16,16 +21,19 @@ density matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import config
 from .linalg import (
     as_matrix,
+    complementary_sqrts,
     dagger,
     eigen_hermitian,
+    eigvals_hermitian,
     hermitian_deviation,
     hermitian_part,
     kernel_basis,
@@ -52,9 +60,7 @@ class Effect:
             raise ValueError("effect must be square")
         if hermitian_deviation(m) > config.EPS:
             raise ValueError("effect must be Hermitian")
-        vals = eigen_hermitian(m).eigenvalues
-        if vals.size and (vals[-1] < -config.PSD_TOL or vals[0] > 1.0 + config.PSD_TOL):
-            raise ValueError(f"effect spectrum [{vals[-1]}, {vals[0]}] leaves [0, 1]")
+        _check_effect_spectrum(eigvals_hermitian(m))
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -62,17 +68,36 @@ class Effect:
         return self.matrix.shape[0]
 
 
+def _check_effect_spectrum(vals: np.ndarray) -> None:
+    if vals.size and (vals[-1] < -config.PSD_TOL or vals[0] > 1.0 + config.PSD_TOL):
+        raise ValueError(f"effect spectrum [{vals[-1]}, {vals[0]}] leaves [0, 1]")
+
+
+def _implied_effect(m: np.ndarray) -> Effect:
+    """An effect whose checks are implied by checks already made on the
+    spectrum it derives from, so it is not diagonalised again."""
+    effect = object.__new__(Effect)
+    object.__setattr__(effect, "matrix", _frozen(m))
+    return effect
+
+
 @dataclass(frozen=True, eq=False)
 class QPredicate:
-    """A pair of effects summing to the identity (left part first)."""
+    """A predicate stored as its left effect A; the right part is I - A.
+
+    ``QPredicate(a, b)`` also accepts the right part, checks that the two
+    sum to the identity and keeps only ``a``.
+    """
 
     first: Effect
-    second: Effect
+    right: InitVar[Optional[Effect]] = None
 
-    def __post_init__(self):
-        if self.first.dim != self.second.dim:
+    def __post_init__(self, right):
+        if right is None:
+            return
+        if self.first.dim != right.dim:
             raise ValueError("components must share a dimension")
-        total = self.first.matrix + self.second.matrix
+        total = self.first.matrix + right.matrix
         if np.max(np.abs(total - np.eye(self.first.dim))) > config.EPS:
             raise ValueError("components must sum to the identity")
 
@@ -80,14 +105,19 @@ class QPredicate:
     def dim(self) -> int:
         return self.first.dim
 
+    @cached_property
+    def second(self) -> Effect:
+        """The right part I - A, an effect because A is one."""
+        return _implied_effect(np.eye(self.dim) - self.first.matrix)
+
     def perp(self) -> "QPredicate":
-        return QPredicate(self.second, self.first)
+        return QPredicate(self.second)
 
     @classmethod
     def from_effect(cls, a: Effect | np.ndarray) -> "QPredicate":
         if not isinstance(a, Effect):
             a = Effect(a)
-        return cls(a, Effect(np.eye(a.dim) - a.matrix))
+        return cls(a)
 
 
 def truth(n: int) -> QPredicate:
@@ -129,7 +159,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if hermitian_deviation(m) > config.EPS:
             raise ValueError("density matrix must be Hermitian")
-        vals = eigen_hermitian(m).eigenvalues
+        vals = eigvals_hermitian(m)
         if vals.size and vals[-1] < -config.PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")
         if abs(trace(m).real - 1.0) > config.EPS:
@@ -175,22 +205,26 @@ class Isometry:
 # -- effect algebra and module structure ------------------------------------
 
 def orthosum(p: QPredicate, q: QPredicate):
-    """Pointwise sum of the left parts when it stays below the identity."""
+    """Pointwise sum of the left parts when it stays below the identity.
+
+    One spectrum of the sum decides its definedness and its validity.
+    """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     s = p.first.matrix + q.first.matrix
-    vals = eigen_hermitian(s).eigenvalues
+    vals = eigvals_hermitian(s)
     if vals.size and vals[0] > 1.0 + config.PSD_TOL:
         return None
-    return QPredicate.from_effect(Effect(s))
+    _check_effect_spectrum(vals)
+    return QPredicate(_implied_effect(s))
 
 
 def probability_multiply(s: float, p: QPredicate) -> QPredicate:
-    """Scale the left part by a probability."""
+    """Scale the left part by a probability; s A is an effect as A is."""
     if not -config.EPS <= s <= 1.0 + config.EPS:
         raise ValueError("scalar must lie in [0, 1]")
     s = min(max(s, 0.0), 1.0)
-    return QPredicate.from_effect(Effect(s * p.first.matrix))
+    return QPredicate(_implied_effect(s * p.first.matrix))
 
 
 def substitute(f: Isometry, q: QPredicate) -> QPredicate:
@@ -246,11 +280,10 @@ def char_sqrt(p: QPredicate) -> Isometry:
 
     The 2n x n stack of the two component square roots; pulling the
     canonical left predicate of the doubled space back along it recovers
-    the predicate.
+    the predicate.  Both roots come from one decomposition of the left
+    part A = V L V*, as V sqrt(L) V* and V sqrt(1 - L) V*.
     """
-    top = sqrt_psd(p.first.matrix)
-    bottom = sqrt_psd(p.second.matrix)
-    return Isometry(np.vstack([top, bottom]))
+    return Isometry(np.vstack(complementary_sqrts(p.first.matrix)))
 
 
 def omega_predicate(n: int) -> QPredicate:
@@ -422,7 +455,7 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> Isometry:
 def random_effect(rng: np.random.Generator, n: int) -> Effect:
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = hermitian_part(m)
-    vals = eigen_hermitian(h).eigenvalues
+    vals = eigvals_hermitian(h)
     lo, hi = float(vals[-1]), float(vals[0])
     span = max(hi - lo, 1.0)
     scaled = (h - lo * np.eye(n)) / span

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectlogic.effect_algebra import (
+    MAX_MO_GENERATORS,
+    MAX_POWERSET_POINTS,
     AxiomReport,
     FiniteEffectAlgebra,
     HomSearchCapError,
@@ -84,6 +86,12 @@ class TestFreeAlgebras:
     def test_sizes(self):
         for n in range(5):
             assert mo_free(n).size == 2 * n + 2
+
+    def test_size_guard(self):
+        for n in (MAX_MO_GENERATORS + 1, 10**12, -1):
+            with pytest.raises(ValueError):
+                mo_free(n)
+        assert mo_free(MAX_MO_GENERATORS).size == 2 * MAX_MO_GENERATORS + 2
 
     def test_mo0_is_two_element(self):
         algebra = mo_free(0)
@@ -162,8 +170,10 @@ class TestPowersetAlgebras:
         }
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            boolean_powerset_ea(17)
+        # the guard runs before allocation, so absurd sizes cost nothing
+        for n in (MAX_POWERSET_POINTS + 1, 17, 10**9, -1):
+            with pytest.raises(ValueError):
+                boolean_powerset_ea(n)
 
 
 class TestDerivedOperations:
@@ -295,6 +305,13 @@ class TestConstructions:
         broken = dataclasses.replace(algebra, sums={**algebra.sums, (7, 0): 7})
         with pytest.raises(MalformedAlgebraError):
             downset(broken, algebra.one)
+
+    def test_downset_below_a_top_outside_its_own_downset_raises(self):
+        # (0, 0) is missing, so neither 0 nor top = 0 lies below 0
+        broken = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 1): 1, (1, 0): 1, (1, 1): 1},
+                                     {0: 1, 1: 0}, {})
+        with pytest.raises(MalformedAlgebraError):
+            downset(broken, 0)
 
     def test_opposite_is_involutive(self):
         for algebra in (mo_free(2), boolean_powerset_ea(2)):
@@ -432,6 +449,8 @@ def reference_downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
     comps = [partial_minus(ea, top, y) for y in members]
     if any(comp not in ids for comp in comps):
         raise MalformedAlgebraError("parent algebra lacks relative complements")
+    if ea.zero not in ids or top not in ids:
+        raise MalformedAlgebraError("0 or top is not below top")
     sums = {(ids[x], ids[y]): ids[v] for (x, y), v in ea.sums.items()
             if x in ids and y in ids and v in ids}
     return FiniteEffectAlgebra(
@@ -492,8 +511,8 @@ def test_checker_and_downset_match_references(algebra, data):
     top = data.draw(st.sampled_from(algebra.elements))
     try:
         expected = reference_downset(algebra, top)
-    except (MalformedAlgebraError, KeyError) as exc:  # KeyError: 0 or top not below top
-        with pytest.raises(type(exc)):
+    except MalformedAlgebraError:
+        with pytest.raises(MalformedAlgebraError):
             downset(algebra, top)
     else:
         built = downset(algebra, top)

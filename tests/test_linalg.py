@@ -139,6 +139,13 @@ class TestSqrtPsd:
             r2 = sqrt_psd(np.diag(d2))
             assert loewner_leq(r1, r2)
 
+    def test_near_degenerate_eigenvalues_keep_their_vectors(self):
+        # 0 and 5e-9 fall into one gauge cluster; each root must still sit
+        # on its own eigenvector, not on a mixture of the two
+        for small in ([0.0, 5e-9], [0.0, 3e-9, 6e-9], [2e-9, 0.0, 9e-9]):
+            r = sqrt_psd(np.diag(small))
+            assert np.max(np.abs(r - np.diag(np.sqrt(small)))) < 1e-12
+
     def test_rejects_negative(self):
         with pytest.raises(NotPsdError):
             sqrt_psd(np.diag([1.0, -0.5]))

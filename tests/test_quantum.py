@@ -117,6 +117,78 @@ class TestToleranceContract:
         assert np.allclose(out.components[0].matrix, first)
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of LAPACK Hermitian solves: full (eigh) and eigenvalues-only."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestSolverCounts:
+    """Each value is validated once, from eigenvalues alone."""
+
+    M = np.array([[0.5, 0.1 - 0.2j, 0.0], [0.1 + 0.2j, 0.3, 0.1], [0.0, 0.1, 0.6]])
+
+    def test_from_effect_reads_one_spectrum(self, solver_calls):
+        p = QPredicate.from_effect(self.M)
+        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        assert np.array_equal(p.second.matrix, np.eye(3) - p.first.matrix)
+        assert not p.second.matrix.flags.writeable
+        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+
+    def test_multiply_derives_bounds(self, solver_calls):
+        p = QPredicate.from_effect(self.M)
+        before = dict(solver_calls)
+        scaled = probability_multiply(0.4, p)
+        assert solver_calls == before
+        assert np.array_equal(scaled.first.matrix, 0.4 * p.first.matrix)
+
+    def test_orthosum_reads_one_spectrum(self, solver_calls):
+        p = QPredicate.from_effect(self.M / 2)
+        q = QPredicate.from_effect(np.eye(3) / 4)
+        big = QPredicate.from_effect(self.M)
+        for left, right, defined in ((p, q, True), (big, big, False)):
+            before = solver_calls["eigvalsh"]
+            out = orthosum(left, right)
+            assert (out is not None) == defined
+            assert solver_calls["eigvalsh"] == before + 1
+        assert solver_calls["eigh"] == 0
+
+    def test_orthosum_keeps_lower_bound(self):
+        dust = Effect(np.diag([-0.8e-9, 0.5]))
+        with pytest.raises(ValueError, match="leaves"):
+            orthosum(QPredicate.from_effect(dust), QPredicate.from_effect(dust))
+
+    def test_char_sqrt_uses_one_decomposition(self, solver_calls):
+        p = QPredicate.from_effect(self.M)
+        before = solver_calls["eigvalsh"]
+        stacked = char_sqrt(p).matrix
+        assert solver_calls == {"eigh": 1, "eigvalsh": before}
+        assert np.max(np.abs(stacked[:3] @ stacked[:3] - p.first.matrix)) < 1e-12
+        assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.second.matrix)) < 1e-12
+
+    def test_perp_swaps_without_solving(self, solver_calls):
+        p = QPredicate.from_effect(self.M)
+        before = dict(solver_calls)
+        flipped = p.perp()
+        assert solver_calls == before
+        assert np.array_equal(flipped.first.matrix, p.second.matrix)
+        assert np.max(np.abs(flipped.second.matrix - p.first.matrix)) < 1e-15
+
+    def test_pair_form_checks_and_keeps_left_part(self):
+        a = Effect(np.diag([1.0, 0.25]))
+        p = QPredicate(a, Effect(np.diag([0.0, 0.75])))
+        assert p.first is a
+        assert np.array_equal(p.second.matrix, np.diag([0.0, 0.75]))
+        with pytest.raises(ValueError, match="dimension"):
+            QPredicate(a, Effect(np.eye(3)))
+
+
 class TestOrthosum:
     def test_complement_gives_truth(self):
         r = rng()
@@ -350,6 +422,22 @@ class TestMeasurement:
             n = int(r.integers(1, 5))
             out = measure_density(random_predicate(r, n), random_density(r, n))
             assert abs(np.trace(out.matrix).real - 1.0) < config.EPS
+
+    @pytest.mark.parametrize("near", [1e-9, 0.5e-9, 1.0 - 1e-9, 1.0 - 0.5e-9])
+    def test_no_mass_lost_near_sharp_eigenvalues(self, near):
+        # one square root drops an eigenvalue within PSD_TOL of 0 or 1;
+        # the other must then take the whole mass of that eigenvector
+        p = QPredicate.from_effect(Effect(np.diag([near, 0.3])))
+        out = measure_density(p, DensityMatrix(np.diag([1.0, 0.0])))
+        assert abs(np.trace(out.matrix).real - 1.0) < 1e-15
+        stacked = char_sqrt(p).matrix
+        assert np.max(np.abs(dagger(stacked) @ stacked - np.eye(2))) < 1e-15
+
+    def test_near_degenerate_predicate_measures_exactly(self):
+        # the eigenvalues 0 and 5e-9 share one gauge cluster
+        p = QPredicate.from_effect(Effect(np.diag([0.0, 5e-9])))
+        out = measure_pure(p, PureState(KET0))
+        assert np.max(np.abs(out.vector - [0.0, 0.0, 1.0, 0.0])) < 1e-12
 
     def test_block_traces_are_branch_probabilities(self):
         r = rng()

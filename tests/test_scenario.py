@@ -141,6 +141,23 @@ class TestRunning:
         assert lines[0].startswith("0: andthen = error:")
         assert lines[1] == "1: multiply = [0.250000000, 0.250000000]"
 
+    def test_oversized_algebras_are_refused(self):
+        text = (
+            "instance classical\n"
+            "query axioms(mo(1000000000000))\n"
+            "query axioms(powerset(11))\n"
+            "query axioms(mo(2))\n"
+        )
+        out, ok = run(parse_scenario(text))
+        assert not ok
+        assert out.splitlines() == [
+            "0: axioms = error: n must be between 0 and 4096",
+            "1: axioms = error: n must be between 0 and 10",
+            "2: axioms = pass",
+        ]
+        with pytest.raises(ScenarioError, match="line 2"):
+            parse_scenario("instance classical\nlet big = powerset(16)\n")
+
     def test_undefined_orthosum(self):
         text = (
             "instance stochastic\n"
