@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 DEFAULT_HOM_SEARCH_CAP = 10_000_000
 
@@ -68,12 +68,6 @@ class FiniteEffectAlgebra:
     def sum_of(self, x: int, y: int) -> Optional[int]:
         """x + y, or None when the pair is not summable."""
         return self.sums.get((x, y))
-
-    def orthogonal(self, x: int, y: int) -> bool:
-        return (x, y) in self.sums
-
-    def defined_pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(self.sums)
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,6 @@ class HermitianEigen:
 
 def _checked_hermitian(a) -> np.ndarray:
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
     if hermitian_deviation(a) > config.EPS:
         raise ValueError(f"matrix is not Hermitian within {config.EPS}")
     return a
@@ -191,9 +189,13 @@ def kernel_basis(a) -> np.ndarray:
 
     Returns an n x 0 matrix when the kernel is trivial.
     """
-    eig = eigen_hermitian(a)
-    keep = np.abs(eig.eigenvalues) < config.KERNEL_TOL
-    return eig.vectors[:, keep]
+    values, vecs = _eigh(a)
+    kernel = vecs[:, np.abs(values) < config.KERNEL_TOL]
+    if not kernel.shape[1]:
+        return kernel
+    # selected on the solver's own vectors, then gauged as one eigenspace: a
+    # gauge cluster of the whole spectrum may straddle KERNEL_TOL
+    return _canonical_gauge(np.zeros(kernel.shape[1]), kernel)
 
 
 # ---------------------------------------------------------------------------

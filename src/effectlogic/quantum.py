@@ -56,10 +56,6 @@ class Effect:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("effect must be square")
-        if hermitian_deviation(m) > config.EPS:
-            raise ValueError("effect must be Hermitian")
         _check_effect_spectrum(eigvals_hermitian(m))
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -155,10 +151,6 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if hermitian_deviation(m) > config.EPS:
-            raise ValueError("density matrix must be Hermitian")
         vals = eigvals_hermitian(m)
         if vals.size and vals[-1] < -config.PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")

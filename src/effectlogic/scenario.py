@@ -12,8 +12,15 @@ list of ``query`` lines.  The grammar is deliberately small:
 where EXPR is a name, a number, a constructor call, or a matrix literal
 ``matrix R C`` followed by R rows of ``a+bi`` entries.  Query arguments
 may nest constructor and test calls; every leaf name must be declared (or
-built in).  Declarations are evaluated at load time so that invariant
-violations are reported with their line number.
+built in) and every nested query call must have its arity.  Declarations
+are evaluated at load time so that invariant violations are reported with
+their line number.
+
+Each instance is a static table of built-ins, constructors and query
+operations (see ``OPERATIONS``).  The predicate positions of a quantum
+query take an effect as well as a predicate, since an effect is the left
+part of the predicate it determines; so the result of ``andthen`` or
+``then`` feeds every query, as in the other two instances.
 
 Reports are deterministic: one line per query, reals printed to a fixed
 number of decimals, matrices in the shared literal format.
@@ -34,19 +41,6 @@ from .quantum import DensityMatrix, Effect, Isometry, PureState, QPredicate
 from .stochastic import Distribution, FuzzyPredicate, StochasticMap
 
 INSTANCES = ("classical", "stochastic", "quantum")
-
-QUERY_ARITY = {
-    "born": 2,
-    "substitute": 2,
-    "andthen": 2,
-    "then": 2,
-    "measure": 2,
-    "orthosum": 2,
-    "multiply": 2,
-    "comprehension": 1,
-    "states": 1,
-    "axioms": 1,
-}
 
 # Constructor argument positions read as bare labels instead of names.
 _LABEL_ARGS = {
@@ -148,12 +142,6 @@ class _ExprParser:
         if tok is None:
             raise ScenarioError("unexpected end of line", self.line)
         self.i += 1
-        return tok
-
-    def expect_punct(self, ch):
-        tok = self.take()
-        if tok[0] != "punct" or tok[1] != ch:
-            raise ScenarioError(f"expected {ch!r}, found {tok[1]!r}", self.line, tok[2])
         return tok
 
     def parse_expr(self):
@@ -274,13 +262,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("a query must be KIND(ARGS)", lineno)
             if expr.fn not in QUERY_ARITY:
                 raise ScenarioError(f"unknown query kind {expr.fn!r}", lineno, expr.col)
-            if len(expr.args) != QUERY_ARITY[expr.fn]:
-                raise ScenarioError(
-                    f"{expr.fn} takes {QUERY_ARITY[expr.fn]} arguments, got {len(expr.args)}",
-                    lineno, expr.col,
-                )
-            for arg in expr.args:
-                evaluator.validate_names(arg)
+            evaluator.validate_names(expr)
             scenario.queries.append(Query(expr.fn, expr.args, lineno, precision))
             continue
         raise ScenarioError(f"unrecognised directive {head[1]!r}", lineno, head[2])
@@ -289,50 +271,21 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+@dataclass(frozen=True)
+class Element:
+    """A point of a classical carrier, the state that classical ``measure`` takes."""
+
+    carrier: FinSet
+    index: int
+
+
 class _Evaluator:
-    """Shared constructor/namespace logic for declarations and queries."""
+    """Name lookup and constructor dispatch for one scenario's instance."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.builtins: dict[str, object] = {}
-        if scenario.instance == "quantum":
-            self.builtins.update(
-                ket0=PureState(quantum.KET0),
-                ket1=PureState(quantum.KET1),
-                ketNE=PureState(quantum.KET_NE),
-                ketNW=PureState(quantum.KET_NW),
-                hadamard=quantum.HADAMARD,
-                pauliX=quantum.PAULI_X,
-                pauliY=quantum.PAULI_Y,
-                pauliZ=quantum.PAULI_Z,
-            )
-        self.constructors: dict[str, Callable] = {
-            "mo": self._make_mo,
-            "powerset": self._make_powerset,
-        }
-        if scenario.instance == "classical":
-            self.constructors.update(
-                carrier=self._make_carrier,
-                subset=self._make_subset,
-                finmap=self._make_finmap,
-                elem=self._make_elem,
-            )
-        elif scenario.instance == "stochastic":
-            self.constructors.update(
-                carrier=self._make_carrier,
-                dist=self._make_dist,
-                fuzzy=self._make_fuzzy,
-                stochmap=self._make_stochmap,
-            )
-        else:
-            self.constructors.update(
-                ket=self._make_ket,
-                effect=self._make_effect,
-                predicate=self._make_predicate,
-                projector=self._make_projector,
-                density=self._make_density,
-                isometry=self._make_isometry,
-            )
+        self.builtins = BUILTINS[scenario.instance]
+        self.constructors = CONSTRUCTORS[scenario.instance]
 
     # -- name validation ------------------------------------------------
 
@@ -344,7 +297,13 @@ class _Evaluator:
                 raise ScenarioError(f"unknown name {expr.name!r}", expr.line, expr.col)
             return
         if isinstance(expr, CallExpr):
-            if expr.fn not in self.constructors and expr.fn not in QUERY_ARITY:
+            if expr.fn in QUERY_ARITY:
+                if len(expr.args) != QUERY_ARITY[expr.fn]:
+                    raise ScenarioError(
+                        f"{expr.fn} takes {QUERY_ARITY[expr.fn]} arguments, got {len(expr.args)}",
+                        expr.line, expr.col,
+                    )
+            elif expr.fn not in self.constructors:
                 raise ScenarioError(f"unknown constructor {expr.fn!r}", expr.line, expr.col)
             start_labels = _LABEL_ARGS.get(expr.fn)
             for idx, arg in enumerate(expr.args):
@@ -371,34 +330,29 @@ class _Evaluator:
                 return self.builtins[expr.name]
             raise QueryError(f"unknown name {expr.name!r}")
         if isinstance(expr, CallExpr):
-            if expr.fn in self.constructors:
-                return self.constructors[expr.fn](expr)
-            if expr.fn in QUERY_ARITY:
-                if len(expr.args) != QUERY_ARITY[expr.fn]:
-                    raise QueryError(f"{expr.fn} takes {QUERY_ARITY[expr.fn]} arguments")
-                return _apply_operator(self.scenario.instance, expr.fn,
-                                       [self.evaluate(a) for a in expr.args])
-            raise QueryError(f"unknown constructor {expr.fn!r}")
+            make = self.constructors.get(expr.fn)
+            if make is not None:
+                return make(self, expr)
+            return _apply_operator(self.scenario.instance, expr.fn,
+                                   [self.evaluate(a) for a in expr.args])
         raise AssertionError("unreachable expression kind")
 
-    def _labels(self, expr: CallExpr, start: int) -> list[str]:
-        out = []
-        for arg in expr.args[start:]:
-            if not isinstance(arg, NameRef):
-                raise QueryError(f"{expr.fn} expects labels, found {arg!r}")
-            out.append(arg.name)
-        return out
-
-    def _numbers(self, expr: CallExpr, start: int) -> list[float]:
+    def numbers(self, expr: CallExpr, start: int) -> list[float]:
         out = []
         for arg in expr.args[start:]:
             value = self.evaluate(arg)
-            if not isinstance(value, (int, float)):
+            if not isinstance(value, _REAL):
                 raise QueryError(f"{expr.fn} expects numbers from position {start + 1}")
             out.append(float(value))
         return out
 
-    def _arg(self, expr: CallExpr, idx: int, kind, what: str):
+    def natural(self, expr: CallExpr) -> int:
+        n = self.numbers(expr, 0)
+        if len(n) != 1 or n[0] != int(n[0]):
+            raise QueryError(f"{expr.fn} takes one natural number")
+        return int(n[0])
+
+    def arg(self, expr: CallExpr, idx: int, kind, what: str):
         if idx >= len(expr.args):
             raise QueryError(f"{expr.fn} is missing argument {idx + 1}")
         value = self.evaluate(expr.args[idx])
@@ -406,200 +360,212 @@ class _Evaluator:
             raise QueryError(f"argument {idx + 1} of {expr.fn} must be {what}")
         return value
 
-    def _make_mo(self, expr):
-        n = self._numbers(expr, 0)
-        if len(n) != 1 or n[0] != int(n[0]):
-            raise QueryError("mo takes one natural number")
-        return effect_algebra.mo_free(int(n[0]))
-
-    def _make_powerset(self, expr):
-        n = self._numbers(expr, 0)
-        if len(n) != 1 or n[0] != int(n[0]):
-            raise QueryError("powerset takes one natural number")
-        return effect_algebra.boolean_powerset_ea(int(n[0]))
-
-    def _make_carrier(self, expr):
-        return FinSet(tuple(self._labels(expr, 0)))
-
-    def _make_subset(self, expr):
-        c = self._arg(expr, 0, FinSet, "a carrier")
-        members = frozenset(c.index_of(l) for l in self._labels(expr, 1))
-        return BoolPredicate(c, members)
-
-    def _make_finmap(self, expr):
-        src = self._arg(expr, 0, FinSet, "a carrier")
-        tgt = self._arg(expr, 1, FinSet, "a carrier")
-        images = self._labels(expr, 2)
-        if len(images) != src.size:
-            raise QueryError(f"finmap needs {src.size} image labels, got {len(images)}")
-        return FinMap(src, tgt, tuple(tgt.index_of(l) for l in images))
-
-    def _make_elem(self, expr):
-        c = self._arg(expr, 0, FinSet, "a carrier")
-        labels = self._labels(expr, 1)
-        if len(labels) != 1:
-            raise QueryError("elem takes a carrier and one label")
-        return ("element", c, c.index_of(labels[0]))
-
-    def _make_dist(self, expr):
-        c = self._arg(expr, 0, FinSet, "a carrier")
-        return Distribution(c, np.array(self._numbers(expr, 1)))
-
-    def _make_fuzzy(self, expr):
-        c = self._arg(expr, 0, FinSet, "a carrier")
-        return FuzzyPredicate(c, np.array(self._numbers(expr, 1)))
-
-    def _make_stochmap(self, expr):
-        src = self._arg(expr, 0, FinSet, "a carrier")
-        tgt = self._arg(expr, 1, FinSet, "a carrier")
-        entries = self._numbers(expr, 2)
-        if len(entries) != src.size * tgt.size:
-            raise QueryError(f"stochmap needs {src.size * tgt.size} entries, got {len(entries)}")
-        return StochasticMap(src, tgt, np.array(entries).reshape(src.size, tgt.size))
-
-    def _make_ket(self, expr):
-        return PureState(np.array(self._numbers(expr, 0), dtype=np.complex128))
-
-    def _matrix_arg(self, expr, idx):
-        value = self.evaluate(expr.args[idx]) if idx < len(expr.args) else None
+    def matrix(self, expr: CallExpr) -> np.ndarray:
+        value = self.evaluate(expr.args[0]) if expr.args else None
         if isinstance(value, np.ndarray):
             return value
         if isinstance(value, Effect):
             return value.matrix
-        raise QueryError(f"argument {idx + 1} of {expr.fn} must be a matrix")
-
-    def _make_effect(self, expr):
-        return Effect(self._matrix_arg(expr, 0))
-
-    def _make_predicate(self, expr):
-        return QPredicate.from_effect(Effect(self._matrix_arg(expr, 0)))
-
-    def _make_projector(self, expr):
-        state = self._arg(expr, 0, PureState, "a state")
-        return quantum.projector(state)
-
-    def _make_density(self, expr):
-        return DensityMatrix(self._matrix_arg(expr, 0))
-
-    def _make_isometry(self, expr):
-        return Isometry(self._matrix_arg(expr, 0))
+        raise QueryError(f"argument 1 of {expr.fn} must be a matrix")
 
 
-def _as_effect(value) -> Effect:
-    if isinstance(value, QPredicate):
-        return value.first
-    if isinstance(value, Effect):
-        return value
-    raise QueryError("expected an effect or predicate")
+def _labels(expr: CallExpr, start: int) -> tuple[str, ...]:
+    # validate_names has checked that these positions hold bare labels
+    return tuple(arg.name for arg in expr.args[start:])
+
+
+def _make_carrier(ev: _Evaluator, expr: CallExpr) -> FinSet:
+    return FinSet(_labels(expr, 0))
+
+
+def _make_subset(ev: _Evaluator, expr: CallExpr) -> BoolPredicate:
+    c = ev.arg(expr, 0, FinSet, "a carrier")
+    return BoolPredicate(c, frozenset(c.index_of(l) for l in _labels(expr, 1)))
+
+
+def _make_finmap(ev: _Evaluator, expr: CallExpr) -> FinMap:
+    src = ev.arg(expr, 0, FinSet, "a carrier")
+    tgt = ev.arg(expr, 1, FinSet, "a carrier")
+    images = _labels(expr, 2)
+    if len(images) != src.size:
+        raise QueryError(f"finmap needs {src.size} image labels, got {len(images)}")
+    return FinMap(src, tgt, tuple(tgt.index_of(l) for l in images))
+
+
+def _make_elem(ev: _Evaluator, expr: CallExpr) -> Element:
+    c = ev.arg(expr, 0, FinSet, "a carrier")
+    labels = _labels(expr, 1)
+    if len(labels) != 1:
+        raise QueryError("elem takes a carrier and one label")
+    return Element(c, c.index_of(labels[0]))
+
+
+def _make_stochmap(ev: _Evaluator, expr: CallExpr) -> StochasticMap:
+    src = ev.arg(expr, 0, FinSet, "a carrier")
+    tgt = ev.arg(expr, 1, FinSet, "a carrier")
+    entries = ev.numbers(expr, 2)
+    if len(entries) != src.size * tgt.size:
+        raise QueryError(f"stochmap needs {src.size * tgt.size} entries, got {len(entries)}")
+    return StochasticMap(src, tgt, np.array(entries).reshape(src.size, tgt.size))
+
+
+# -- the three instances ------------------------------------------------------
+#
+# Each instance is one static description: its built-in names, its
+# constructors and its query operations.  A constructor is a function of the
+# evaluator and the call; an operation is its argument types and a function
+# of the evaluated arguments.  Both reach the library through its module at
+# call time, so a caller that rebinds a module's functions (a tracer, a test
+# double) sees every call.
+
+BUILTINS: dict[str, dict[str, object]] = {
+    "classical": {},
+    "stochastic": {},
+    "quantum": {
+        "ket0": PureState(quantum.KET0),
+        "ket1": PureState(quantum.KET1),
+        "ketNE": PureState(quantum.KET_NE),
+        "ketNW": PureState(quantum.KET_NW),
+        "hadamard": quantum.HADAMARD,
+        "pauliX": quantum.PAULI_X,
+        "pauliY": quantum.PAULI_Y,
+        "pauliZ": quantum.PAULI_Z,
+    },
+}
+
+_ALGEBRAS = {
+    "mo": lambda ev, e: effect_algebra.mo_free(ev.natural(e)),
+    "powerset": lambda ev, e: effect_algebra.boolean_powerset_ea(ev.natural(e)),
+}
+CONSTRUCTORS: dict[str, dict[str, Callable]] = {
+    "classical": {
+        **_ALGEBRAS,
+        "carrier": _make_carrier,
+        "subset": _make_subset,
+        "finmap": _make_finmap,
+        "elem": _make_elem,
+    },
+    "stochastic": {
+        **_ALGEBRAS,
+        "carrier": _make_carrier,
+        "dist": lambda ev, e: Distribution(ev.arg(e, 0, FinSet, "a carrier"),
+                                           np.array(ev.numbers(e, 1))),
+        "fuzzy": lambda ev, e: FuzzyPredicate(ev.arg(e, 0, FinSet, "a carrier"),
+                                              np.array(ev.numbers(e, 1))),
+        "stochmap": _make_stochmap,
+    },
+    "quantum": {
+        **_ALGEBRAS,
+        "ket": lambda ev, e: PureState(np.array(ev.numbers(e, 0), dtype=np.complex128)),
+        "effect": lambda ev, e: Effect(ev.matrix(e)),
+        "predicate": lambda ev, e: QPredicate.from_effect(Effect(ev.matrix(e))),
+        "projector": lambda ev, e: quantum.projector(ev.arg(e, 0, PureState, "a state")),
+        "density": lambda ev, e: DensityMatrix(ev.matrix(e)),
+        "isometry": lambda ev, e: Isometry(ev.matrix(e)),
+    },
+}
+
+_REAL = (float, int)
+# a quantum predicate position takes an effect as the predicate whose left part it is
+_QPRED = (QPredicate, Effect)
+
+
+def _predicate(p: QPredicate | Effect) -> QPredicate:
+    return p if isinstance(p, QPredicate) else QPredicate(p)
+
+
+def _left(p: QPredicate | Effect) -> Effect:
+    return p.first if isinstance(p, QPredicate) else p
+
+
+def _classical_measure(p: BoolPredicate, x: Element):
+    if x.carrier != p.carrier:
+        raise QueryError("element belongs to a different carrier")
+    return ("tagged", p.carrier, classical.measure(p, x.index))
+
+
+def _quantum_measure(p: QPredicate | Effect, state: PureState | DensityMatrix):
+    if isinstance(state, PureState):
+        return quantum.measure_pure(_predicate(p), state)
+    return quantum.measure_density(_predicate(p), state)
+
+
+def _quantum_substitute(f: Isometry, q: QPredicate | Effect):
+    if isinstance(q, QPredicate):
+        return quantum.substitute(f, q)
+    return quantum.substitute_effect(f, q)
+
+
+def _states(n: float) -> int:
+    if n != int(n):
+        raise QueryError("states takes a natural number")
+    return len(classical.stone_states(int(n)))
+
+
+def _axioms(target: FiniteEffectAlgebra | FinSet):
+    if isinstance(target, FinSet):
+        if target.size > 4:
+            raise QueryError("axioms on a carrier is exhaustive, size must be <= 4")
+        target = classical.predicate_algebra(target)
+    return ("report", target, effect_algebra.check_axioms(target))
+
+
+OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
+    "classical": {
+        "substitute": ((FinMap, BoolPredicate), lambda f, q: classical.substitute(f, q)),
+        "andthen": ((BoolPredicate, BoolPredicate), lambda p, q: classical.test_andthen(p, q)),
+        "then": ((BoolPredicate, BoolPredicate), lambda p, q: classical.test_then(p, q)),
+        "orthosum": ((BoolPredicate, BoolPredicate), lambda p, q: classical.orthosum(p, q)),
+        "measure": ((BoolPredicate, Element), _classical_measure),
+        "comprehension": ((BoolPredicate,), lambda p: classical.comprehension(p)[0]),
+        "states": ((_REAL,), _states),
+        "axioms": (((FiniteEffectAlgebra, FinSet),), _axioms),
+    },
+    "stochastic": {
+        "substitute": ((StochasticMap, FuzzyPredicate),
+                       lambda f, q: stochastic.substitute(f, q)),
+        "andthen": ((FuzzyPredicate, FuzzyPredicate),
+                    lambda p, q: stochastic.test_andthen(p, q)),
+        "then": ((FuzzyPredicate, FuzzyPredicate), lambda p, q: stochastic.test_then(p, q)),
+        "orthosum": ((FuzzyPredicate, FuzzyPredicate), lambda p, q: stochastic.orthosum(p, q)),
+        "multiply": ((_REAL, FuzzyPredicate),
+                     lambda s, p: stochastic.probability_multiply(float(s), p)),
+        "measure": ((FuzzyPredicate, Distribution),
+                    lambda p, m: stochastic.measure_distribution(p, m)),
+        "comprehension": ((FuzzyPredicate,), lambda p: stochastic.comprehension(p)[0]),
+        "axioms": ((FiniteEffectAlgebra,), _axioms),
+    },
+    "quantum": {
+        "born": ((PureState, _QPRED), lambda x, p: quantum.born_probability(x, p)),
+        "substitute": ((Isometry, _QPRED), _quantum_substitute),
+        "andthen": ((_QPRED, _QPRED), lambda p, q: quantum.test_andthen(_left(p), _left(q))),
+        "then": ((_QPRED, _QPRED), lambda p, q: quantum.test_then(_left(p), _left(q))),
+        "orthosum": ((_QPRED, _QPRED),
+                     lambda p, q: quantum.orthosum(_predicate(p), _predicate(q))),
+        "multiply": ((_REAL, _QPRED),
+                     lambda s, p: quantum.probability_multiply(float(s), _predicate(p))),
+        "measure": ((_QPRED, (PureState, DensityMatrix)), _quantum_measure),
+        "comprehension": ((_QPRED,), lambda p: quantum.comprehension(_predicate(p))),
+        "axioms": ((FiniteEffectAlgebra,), _axioms),
+    },
+}
+
+QUERY_ARITY = {kind: len(types) for table in OPERATIONS.values()
+               for kind, (types, _) in table.items()}
+
+
+def _type_names(types) -> str:
+    return " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
 
 
 def _apply_operator(instance: str, kind: str, args: list):
-    if kind == "born":
-        if instance != "quantum":
-            raise QueryError("born is a quantum query")
-        state, pred = args
-        if not isinstance(state, PureState):
-            raise QueryError("born needs a pure state first")
-        return quantum.born_probability(state, _as_effect(pred))
-
-    if kind in ("andthen", "then"):
-        p, q = args
-        if isinstance(p, BoolPredicate) and isinstance(q, BoolPredicate):
-            op = classical.test_andthen if kind == "andthen" else classical.test_then
-            return op(p, q)
-        if isinstance(p, FuzzyPredicate) and isinstance(q, FuzzyPredicate):
-            op = stochastic.test_andthen if kind == "andthen" else stochastic.test_then
-            return op(p, q)
-        if isinstance(p, (Effect, QPredicate)) and isinstance(q, (Effect, QPredicate)):
-            op = quantum.test_andthen if kind == "andthen" else quantum.test_then
-            return op(_as_effect(p), _as_effect(q))
-        raise QueryError(f"{kind} expects two predicates of the same instance")
-
-    if kind == "orthosum":
-        p, q = args
-        if isinstance(p, BoolPredicate) and isinstance(q, BoolPredicate):
-            return classical.orthosum(p, q)
-        if isinstance(p, FuzzyPredicate) and isinstance(q, FuzzyPredicate):
-            return stochastic.orthosum(p, q)
-        if isinstance(p, QPredicate) and isinstance(q, QPredicate):
-            return quantum.orthosum(p, q)
-        raise QueryError("orthosum expects two predicates of the same instance")
-
-    if kind == "substitute":
-        f, q = args
-        if isinstance(f, FinMap) and isinstance(q, BoolPredicate):
-            return classical.substitute(f, q)
-        if isinstance(f, StochasticMap) and isinstance(q, FuzzyPredicate):
-            return stochastic.substitute(f, q)
-        if isinstance(f, Isometry) and isinstance(q, (QPredicate, Effect)):
-            if isinstance(q, QPredicate):
-                return quantum.substitute(f, q)
-            return quantum.substitute_effect(f, q)
-        raise QueryError("substitute expects a map and a matching predicate")
-
-    if kind == "multiply":
-        s, p = args
-        if not isinstance(s, (int, float)):
-            raise QueryError("multiply expects a probability first")
-        if isinstance(p, FuzzyPredicate):
-            return stochastic.probability_multiply(float(s), p)
-        if isinstance(p, (QPredicate, Effect)):
-            if isinstance(p, Effect):
-                p = QPredicate.from_effect(p)
-            return quantum.probability_multiply(float(s), p)
-        raise QueryError("multiply expects a fuzzy or quantum predicate")
-
-    if kind == "measure":
-        p, state = args
-        if isinstance(p, BoolPredicate):
-            if not (isinstance(state, tuple) and state and state[0] == "element"):
-                raise QueryError("classical measure expects elem(carrier, label)")
-            _, carrier, index = state
-            if carrier != p.carrier:
-                raise QueryError("element belongs to a different carrier")
-            return ("tagged", p.carrier, classical.measure(p, index))
-        if isinstance(p, FuzzyPredicate) and isinstance(state, Distribution):
-            return stochastic.measure_distribution(p, state)
-        if isinstance(p, QPredicate) and isinstance(state, PureState):
-            return quantum.measure_pure(p, state)
-        if isinstance(p, QPredicate) and isinstance(state, DensityMatrix):
-            return quantum.measure_density(p, state)
-        raise QueryError("measure expects a predicate and a matching state")
-
-    if kind == "comprehension":
-        (p,) = args
-        if isinstance(p, BoolPredicate):
-            sub, _ = classical.comprehension(p)
-            return sub
-        if isinstance(p, FuzzyPredicate):
-            sub, _ = stochastic.comprehension(p)
-            return sub
-        if isinstance(p, QPredicate):
-            return quantum.comprehension(p)
-        raise QueryError("comprehension expects a predicate")
-
-    if kind == "states":
-        (n,) = args
-        if instance != "classical":
-            raise QueryError("states is a classical query")
-        if not isinstance(n, (int, float)) or n != int(n):
-            raise QueryError("states takes a natural number")
-        return len(classical.stone_states(int(n)))
-
-    if kind == "axioms":
-        (target,) = args
-        if isinstance(target, FiniteEffectAlgebra):
-            algebra = target
-        elif isinstance(target, FinSet) and instance == "classical":
-            if target.size > 4:
-                raise QueryError("axioms on a carrier is exhaustive, size must be <= 4")
-            algebra = classical.predicate_algebra(target)
-        else:
-            raise QueryError("axioms expects an algebra (mo, powerset) or a small carrier")
-        report = effect_algebra.check_axioms(algebra)
-        return ("report", algebra, report)
-
-    raise QueryError(f"unknown query kind {kind!r}")
+    try:
+        types, operation = OPERATIONS[instance][kind]
+    except KeyError:
+        raise QueryError(f"{kind} is not a {instance} query") from None
+    if not all(isinstance(arg, t) for arg, t in zip(args, types)):
+        raise QueryError(f"{kind} expects ({', '.join(map(_type_names, types))})")
+    return operation(*args)
 
 
 # -- report formatting --------------------------------------------------------
@@ -650,7 +616,8 @@ def format_value(value, prec: int) -> str:
 
 
 def run(scenario: Scenario, precision: int = 9) -> tuple[str, bool]:
-    """Evaluate every query in order; errors are reported inline.
+    """Evaluate every query in order; errors are reported inline, with the
+    query's source line.
 
     Returns the report text and whether all queries succeeded.
     """
@@ -666,7 +633,7 @@ def run(scenario: Scenario, precision: int = 9) -> tuple[str, bool]:
             )
             rendered = format_value(value, digits)
         except (QueryError, ValueError, KeyError) as exc:
-            rendered = f"error: {exc}"
+            rendered = f"error: line {query.line}: {exc}"
             ok = False
         lines.append(f"{idx}: {query.kind} = {rendered}")
     return "\n".join(lines) + "\n", ok

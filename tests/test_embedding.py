@@ -1,18 +1,24 @@
-"""The stochastic instance embeds into the quantum one along the diagonal.
+"""Each instance embeds into the next, and every operation commutes with it.
 
-A fuzzy predicate p on an n-point carrier becomes the diagonal effect
-diag(p), a distribution becomes the diagonal density matrix of its
-weights.  The paper's claim that one structure covers both instances says
-every operation commutes with that embedding; these properties check it
-within the README's 1e-8 contract after chained arithmetic.
+Classical into stochastic: a subset becomes its 0/1 fuzzy predicate and a
+function the deterministic kernel of its table.  Values stay 0 or 1, so
+the images agree exactly.
+
+Stochastic into quantum, along the diagonal: a fuzzy predicate p on an
+n-point carrier becomes the diagonal effect diag(p), a distribution the
+diagonal density matrix of its weights.  These agree within the README's
+1e-8 contract after chained arithmetic.
+
+The paper's claim that one structure covers the three instances says
+every operation commutes with these embeddings.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effectlogic import config, quantum, stochastic
-from effectlogic.classical import range_finset
+from effectlogic import classical, config, quantum, stochastic
+from effectlogic.classical import BoolPredicate, FinMap, range_finset
 from effectlogic.quantum import DensityMatrix, Effect, QPredicate
 
 TOL = 1e-8
@@ -95,3 +101,87 @@ def test_measure_commutes(pair, raw_weights):
     measured = quantum.measure_density(embed(p), rho).matrix
     expected = stochastic.measure_distribution(p, dist).weights
     assert np.max(np.abs(np.diag(measured) - expected)) < TOL
+
+
+# -- classical into stochastic -------------------------------------------------
+
+
+@st.composite
+def subset_pair(draw):
+    n = draw(st.integers(1, 6))
+    carrier = range_finset(n)
+    p, q = (BoolPredicate(carrier, frozenset(draw(st.sets(st.integers(0, n - 1)))))
+            for _ in range(2))
+    return p, q
+
+
+@st.composite
+def function_and_subset(draw):
+    source, target = (range_finset(draw(st.integers(1, 6))) for _ in range(2))
+    table = draw(st.lists(st.integers(0, target.size - 1),
+                          min_size=source.size, max_size=source.size))
+    q = BoolPredicate(target, frozenset(draw(st.sets(st.integers(0, target.size - 1)))))
+    return FinMap(source, target, tuple(table)), q
+
+
+def lift(p: BoolPredicate) -> stochastic.FuzzyPredicate:
+    values = np.zeros(p.carrier.size)
+    values[sorted(p.members)] = 1.0
+    return stochastic.FuzzyPredicate(p.carrier, values)
+
+
+def lift_map(f: FinMap) -> stochastic.StochasticMap:
+    return stochastic.deterministic(f.table, f.source, f.target)
+
+
+def assert_lifts_to(p: BoolPredicate, fuzzy: stochastic.FuzzyPredicate) -> None:
+    assert fuzzy.carrier == p.carrier
+    assert np.array_equal(fuzzy.values, lift(p).values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_pair())
+def test_lifted_orthosum_commutes(pair):
+    p, q = pair
+    subset_sum = classical.orthosum(p, q)
+    fuzzy_sum = stochastic.orthosum(lift(p), lift(q))
+    assert (subset_sum is None) == (fuzzy_sum is None) == bool(p.members & q.members)
+    if subset_sum is not None:
+        assert_lifts_to(subset_sum, fuzzy_sum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_pair())
+def test_lifted_sequential_tests_commute(pair):
+    p, q = pair
+    assert_lifts_to(classical.test_andthen(p, q), stochastic.test_andthen(lift(p), lift(q)))
+    assert_lifts_to(classical.test_then(p, q), stochastic.test_then(lift(p), lift(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(function_and_subset())
+def test_lifted_substitute_commutes(case):
+    f, q = case
+    assert_lifts_to(classical.substitute(f, q), stochastic.substitute(lift_map(f), lift(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_pair())
+def test_lifted_comprehension_commutes(pair):
+    p, _ = pair
+    sub, inclusion = classical.comprehension(p)
+    fuzzy_sub, fuzzy_inclusion = stochastic.comprehension(lift(p))
+    assert fuzzy_sub.labels == sub.labels
+    assert np.array_equal(fuzzy_inclusion.matrix, lift_map(inclusion).matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_pair(), st.integers(0, 5))
+def test_lifted_measure_commutes(pair, point):
+    p, _ = pair
+    x = point % p.carrier.size
+    measured = stochastic.measure_distribution(lift(p), stochastic.dirac(p.carrier, x))
+    side = classical.tagged_to_index(p.carrier, classical.measure(p, x))
+    assert measured.carrier == classical.doubled_carrier(p.carrier)
+    assert np.array_equal(measured.weights,
+                          stochastic.dirac(measured.carrier, side).weights)

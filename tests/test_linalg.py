@@ -172,6 +172,15 @@ class TestOrderAndKernel:
     def test_trivial_kernel(self):
         assert kernel_basis(np.eye(3)).shape == (3, 0)
 
+    def test_kernel_split_inside_a_gauge_cluster(self):
+        # 0.5e-8 and 1.2e-8 are closer than CLUSTER_TOL, but only the first
+        # is below KERNEL_TOL
+        basis = kernel_basis(np.diag([0.5e-8, 1.2e-8]))
+        assert np.max(np.abs(basis - [[1.0], [0.0]])) < 1e-12
+        basis = kernel_basis(np.diag([2.0, 0.0, 0.0, 0.5e-8, 1.2e-8]))
+        assert basis.shape == (5, 3)
+        assert np.max(np.abs(basis - np.eye(5)[:, 1:4])) < 1e-12
+
     def test_kernel_columns_annihilated(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

@@ -78,6 +78,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Effect(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("cls", [Effect, DensityMatrix])
+    @pytest.mark.parametrize("matrix", [
+        np.full((2, 3), 0.25),  # not square
+        np.array([[0.5, 0.5], [0.0, 0.5]]),  # not Hermitian
+    ])
+    def test_shape_and_hermiticity_checked_once_inside_the_spectrum(self, cls, matrix):
+        with pytest.raises(ValueError):
+            cls(matrix)
+
     def test_predicate_components_sum_to_identity(self):
         with pytest.raises(ValueError):
             QPredicate(Effect(np.eye(2) / 2), Effect(np.eye(2) / 4))
@@ -571,6 +580,12 @@ class TestComprehension:
             a = comprehension(predicate_from_isometry(k)).matrix
             b = comprehension(predicate_from_isometry(Isometry(k.matrix @ w.matrix))).matrix
             assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_kernel_chosen_below_the_tolerance_not_by_gauge_cluster(self):
+        # I - A = diag(0.5e-8, 1.2e-8): only the first direction is certain,
+        # though the two eigenvalues lie within one gauge cluster
+        inc = comprehension(QPredicate.from_effect(np.diag([1 - 0.5e-8, 1 - 1.2e-8])))
+        assert np.max(np.abs(inc.matrix - [[1.0], [0.0]])) < 1e-12
 
     def test_phase_tie_goes_to_first_entry(self):
         s = 1 / np.sqrt(2)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from effectlogic import cli
-from effectlogic.scenario import ScenarioError, parse_scenario, run
+from effectlogic import classical, cli, quantum, stochastic
+from effectlogic.quantum import PureState, QPredicate
+from effectlogic.scenario import ScenarioError, format_value, parse_scenario, run
 
 MINIMAL_QUANTUM = """\
 instance quantum
@@ -82,6 +83,18 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario("instance classical\nlet c = carrier(a)\nlet c = carrier(b)\n")
 
+    def test_nested_query_arity_is_a_parse_error(self, tmp_path, capsys):
+        text = ("instance quantum\nlet p = predicate(projector(ket0))\n"
+                "query born(ket0, andthen(p))\n")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.col) == (3, text.splitlines()[2].index("andthen") + 1)
+        assert err.value.message == "andthen takes 2 arguments, got 1"
+        path = tmp_path / "arity.scn"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        assert "line 3, col 18: andthen takes 2 arguments" in capsys.readouterr().err
+
     def test_truncated_matrix(self):
         with pytest.raises(ScenarioError):
             parse_scenario("instance quantum\nlet m = matrix 2 2\n1+0i 0+0i\n")
@@ -141,6 +154,23 @@ class TestRunning:
         assert lines[0].startswith("0: andthen = error:")
         assert lines[1] == "1: multiply = [0.250000000, 0.250000000]"
 
+    def test_inline_error_names_its_source_line(self):
+        out, ok = run(parse_scenario(
+            "instance stochastic\n"
+            "let c = carrier(a, b)\n"
+            "let p = fuzzy(c, 0.5, 0.5)\n"
+            "# a comment keeps line and query numbers apart\n"
+            "query multiply(0.5, p)\n"
+            "query born(p, p)\n"
+            "query measure(p, c)\n"
+        ))
+        assert not ok
+        assert out.splitlines() == [
+            "0: multiply = [0.250000000, 0.250000000]",
+            "1: born = error: line 6: born is not a stochastic query",
+            "2: measure = error: line 7: measure expects (FuzzyPredicate, Distribution)",
+        ]
+
     def test_oversized_algebras_are_refused(self):
         text = (
             "instance classical\n"
@@ -151,8 +181,8 @@ class TestRunning:
         out, ok = run(parse_scenario(text))
         assert not ok
         assert out.splitlines() == [
-            "0: axioms = error: n must be between 0 and 4096",
-            "1: axioms = error: n must be between 0 and 10",
+            "0: axioms = error: line 2: n must be between 0 and 4096",
+            "1: axioms = error: line 3: n must be between 0 and 10",
             "2: axioms = pass",
         ]
         with pytest.raises(ScenarioError, match="line 2"):
@@ -179,6 +209,107 @@ class TestRunning:
     def test_axioms_query(self):
         out, ok = run(parse_scenario("instance classical\nquery axioms(mo(3))\n"))
         assert ok and out == "0: axioms = pass\n"
+
+
+def report(*values) -> str:
+    return "".join(f"{i}: {kind} = {format_value(v, 9)}\n" for i, (kind, v) in enumerate(values))
+
+
+class TestUniformPredicates:
+    """The result of a test feeds every predicate position, in every instance."""
+
+    def test_quantum(self):
+        m, n, k = np.diag([1.0, 0.5]), np.array([[0.5, 0.25], [0.25, 0.5]]), np.diag([0.1, 0.2])
+        literal = "".join(
+            f"let {name} = matrix 2 2\n" + "\n".join(" ".join(f"{x}+0i" for x in row) for row in a)
+            + "\n" for name, a in (("M", m), ("N", n), ("K", k))
+        )
+        out, ok = run(parse_scenario(
+            "instance quantum\n" + literal
+            + "let p = predicate(M)\nlet q = predicate(N)\nlet r = predicate(K)\n"
+            "query orthosum(andthen(p, q), r)\n"
+            "query measure(then(p, q), ket0)\n"
+            "query comprehension(andthen(p, p))\n"
+            "query measure(effect(M), ket0)\n"
+            "query multiply(0.5, then(q, p))\n"
+        ))
+        p, q, r = (QPredicate.from_effect(a) for a in (m, n, k))
+        ket0 = PureState(quantum.KET0)
+
+        def andthen(a, b):
+            return QPredicate(quantum.test_andthen(a.first, b.first))
+
+        def then(a, b):
+            return QPredicate(quantum.test_then(a.first, b.first))
+
+        assert ok
+        assert out == report(
+            ("orthosum", quantum.orthosum(andthen(p, q), r)),
+            ("measure", quantum.measure_pure(then(p, q), ket0)),
+            ("comprehension", quantum.comprehension(andthen(p, p))),
+            ("measure", quantum.measure_pure(p, ket0)),
+            ("multiply", quantum.probability_multiply(0.5, then(q, p))),
+        )
+        assert "2: comprehension = 2 1" in out.splitlines()
+
+    def test_classical(self):
+        out, ok = run(parse_scenario(
+            "instance classical\nlet c = carrier(a, b, c)\n"
+            "let p = subset(c, a, b)\nlet q = subset(c, b)\nlet r = subset(c, c)\n"
+            "query orthosum(andthen(p, q), r)\n"
+            "query measure(then(p, q), elem(c, a))\n"
+            "query comprehension(andthen(p, p))\n"
+        ))
+        carrier = classical.finset("a", "b", "c")
+        p, q = classical.BoolPredicate(carrier, {0, 1}), classical.BoolPredicate(carrier, {1})
+        r = classical.BoolPredicate(carrier, {2})
+        assert ok
+        assert out == report(
+            ("orthosum", classical.orthosum(classical.test_andthen(p, q), r)),
+            ("measure", ("tagged", carrier, classical.measure(classical.test_then(p, q), 0))),
+            ("comprehension", classical.comprehension(classical.test_andthen(p, p))[0]),
+        )
+
+    def test_stochastic(self):
+        out, ok = run(parse_scenario(
+            "instance stochastic\nlet c = carrier(a, b)\n"
+            "let p = fuzzy(c, 1, 0.5)\nlet q = fuzzy(c, 0.4, 0.6)\nlet r = fuzzy(c, 0.5, 0.2)\n"
+            "let d = dist(c, 0.3, 0.7)\n"
+            "query orthosum(andthen(p, q), r)\n"
+            "query measure(then(p, q), d)\n"
+            "query comprehension(andthen(p, p))\n"
+        ))
+        carrier = classical.finset("a", "b")
+        p, q, r = (stochastic.FuzzyPredicate(carrier, np.array(v))
+                   for v in ((1.0, 0.5), (0.4, 0.6), (0.5, 0.2)))
+        d = stochastic.Distribution(carrier, np.array([0.3, 0.7]))
+        assert ok
+        assert out == report(
+            ("orthosum", stochastic.orthosum(stochastic.test_andthen(p, q), r)),
+            ("measure", stochastic.measure_distribution(stochastic.test_then(p, q), d)),
+            ("comprehension", stochastic.comprehension(stochastic.test_andthen(p, p))[0]),
+        )
+
+
+class TestStaticInstances:
+    def test_run_validates_no_builtin_state(self, monkeypatch):
+        sc = parse_scenario(
+            "instance quantum\n"
+            "let p = predicate(projector(ketNE))\n"
+            "query born(ket0, p)\n"
+            "query born(ketNW, p)\n"
+        )
+        validated = []
+        original = PureState.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            original(self)
+
+        monkeypatch.setattr(PureState, "__post_init__", counting)
+        out, ok = run(sc)
+        assert ok and out == "0: born = 0.500000000\n1: born = 0.000000000\n"
+        assert validated == []
 
 
 class TestDemos:
