@@ -360,13 +360,23 @@ def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
 
 
 def opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
-    """Swap the roles of (0, +) and (1, the dual operation)."""
-    sums: dict[tuple[int, int], int] = {}
+    """Swap the roles of (0, +) and (1, the dual operation).
+
+    x owedge y = (x' + y')' is read off the sum entries through the
+    preimages of perp, and inserted in element order of x, then y: the
+    checker's witnesses follow that order.
+    """
+    preimages: dict[int, list[int]] = {}
     for x in ea.elements:
-        for y in ea.elements:
-            v = owedge(ea, x, y)
-            if v is not None:
-                sums[(x, y)] = v
+        preimages.setdefault(ea.perp[x], []).append(x)
+    position = {x: i for i, x in enumerate(ea.elements)}
+    entries = sorted(
+        (position[x], position[y], x, y, ea.perp[s])
+        for (a, b), s in ea.sums.items()
+        for x in preimages.get(a, ())
+        for y in preimages.get(b, ())
+    )
+    sums = {(x, y): v for _, _, x, y, v in entries}
     return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, sums, dict(ea.perp), dict(ea.names))
 
 

@@ -75,7 +75,7 @@ def _checked_hermitian(a) -> np.ndarray:
     return a
 
 
-def _eigh(a) -> tuple[np.ndarray, np.ndarray]:
+def eigh_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues and the solver's own eigenvector columns."""
     values, vecs = np.linalg.eigh(hermitian_part(_checked_hermitian(a)))
     return values[::-1].copy(), vecs[:, ::-1]
@@ -87,7 +87,7 @@ def eigen_hermitian(a) -> HermitianEigen:
     The input may deviate from Hermitian by at most ``config.EPS`` per
     entry and is symmetrised before the decomposition.
     """
-    values, vecs = _eigh(a)
+    values, vecs = eigh_hermitian(a)
     if values.size == 0:
         return HermitianEigen(values, vecs)
     return HermitianEigen(values, _canonical_gauge(values, vecs))
@@ -157,7 +157,7 @@ def sqrt_psd(a) -> np.ndarray:
     anything below -PSD_TOL raises ``NotPsdError``.  Projections are
     reproduced sharply, since their spectrum is fixed by the square root.
     """
-    values, vecs = _eigh(a)
+    values, vecs = eigh_hermitian(a)
     if values.size and values[-1] < -config.PSD_TOL:
         raise NotPsdError(f"eigenvalue {values[-1]} below -{config.PSD_TOL}")
     return _spectral_sqrt(vecs, np.where(values < config.PSD_TOL, 0.0, values))
@@ -170,7 +170,7 @@ def complementary_sqrts(a) -> tuple[np.ndarray, np.ndarray]:
     pair of squared roots sums to exactly 1 and the stacked roots form an
     isometry that loses no probability mass.
     """
-    values, vecs = _eigh(a)
+    values, vecs = eigh_hermitian(a)
     tol = config.PSD_TOL
     values = np.where(values < tol, 0.0, np.where(1.0 - values < tol, 1.0, values))
     return _spectral_sqrt(vecs, values), _spectral_sqrt(vecs, 1.0 - values)
@@ -189,7 +189,7 @@ def kernel_basis(a) -> np.ndarray:
 
     Returns an n x 0 matrix when the kernel is trivial.
     """
-    values, vecs = _eigh(a)
+    values, vecs = eigh_hermitian(a)
     kernel = vecs[:, np.abs(values) < config.KERNEL_TOL]
     if not kernel.shape[1]:
         return kernel
@@ -201,11 +201,18 @@ def kernel_basis(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Matrix literal text format: a "rows cols" header line, then one line per
 # row of whitespace-separated a+bi entries, printed to 9 significant digits.
+# A matrix with no columns has blank rows, which a reader may leave out.
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
 _REAL_RE = re.compile(rf"^(?P<re>{_NUM})$")
 _IMAG_RE = re.compile(rf"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
+# Deletes the characters of plain rows.  Over those, with i read as j,
+# complex() accepts exactly the entries that parse_complex accepts and reads
+# the same numbers (signed zeros included).  Other text, which complex()
+# may read more leniently (nan, inf, underscores, parentheses, j), goes
+# through parse_complex.
+_PLAIN_CHARS = str.maketrans("", "", "0123456789.eE+-i \t")
 
 
 def parse_complex(token: str) -> complex:
@@ -226,26 +233,14 @@ def parse_complex(token: str) -> complex:
     raise ValueError(f"bad complex literal {token!r}")
 
 
-def _fmt_real(x: float, sig: int) -> str:
-    if x == 0.0:
-        x = 0.0  # normalise -0.0
-    return f"{x:.{sig}g}"
-
-
-def format_complex(z: complex, sig: int = 9) -> str:
-    re_part = _fmt_real(float(z.real), sig)
-    im = float(z.imag)
-    sign = "-" if im < 0 else "+"
-    return f"{re_part}{sign}{_fmt_real(abs(im), sig)}i"
-
-
 def format_matrix(a, sig: int = 9) -> str:
     a = as_matrix(a)
     rows, cols = a.shape
-    lines = [f"{rows} {cols}"]
-    for i in range(rows):
-        lines.append(" ".join(format_complex(a[i, j], sig) for j in range(cols)))
-    return "\n".join(lines)
+    # real and imaginary parts interleaved along each row; adding 0.0 turns
+    # -0.0 into 0.0, and %+g puts the sign between the two parts
+    parts = np.ascontiguousarray(a).view(np.float64) + 0.0
+    template = " ".join([f"%.{sig}g%+.{sig}gi"] * cols)
+    return "\n".join([f"{rows} {cols}"] + [template % tuple(row) for row in parts.tolist()])
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -256,13 +251,24 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(head) != 2:
         raise ValueError("matrix literal must start with 'rows cols'")
     rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
+    found = len(lines) - 1
+    if found != rows and not (found == 0 and cols == 0 and rows > 0):
+        raise ValueError(f"expected {rows} rows, found {found}")
     out = np.zeros((rows, cols), dtype=np.complex128)
     for i, line in enumerate(lines[1:]):
         entries = line.split()
         if len(entries) != cols:
             raise ValueError(f"row {i} has {len(entries)} entries, expected {cols}")
-        for j, token in enumerate(entries):
-            out[i, j] = parse_complex(token)
+        out[i] = _parse_row(line, entries)
     return out
+
+
+def _parse_row(line: str, entries: list[str]) -> list[complex]:
+    """The entries of one row, as parse_complex reads them."""
+    if not line.translate(_PLAIN_CHARS):
+        try:
+            return [complex(token) for token in line.replace("i", "j").split()]
+        except ValueError:
+            pass
+    # parse_complex names the first entry it rejects
+    return [parse_complex(token) for token in entries]

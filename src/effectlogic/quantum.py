@@ -32,7 +32,7 @@ from .linalg import (
     as_matrix,
     complementary_sqrts,
     dagger,
-    eigen_hermitian,
+    eigh_hermitian,
     eigvals_hermitian,
     hermitian_deviation,
     hermitian_part,
@@ -255,14 +255,16 @@ def born_spectral(x: PureState, p: QPredicate | Effect) -> float:
     """The same probability through the spectral decomposition.
 
     Independent route for cross-checking: eigenvalues weight the squared
-    overlaps with the eigenvectors.
+    overlaps with the solver's own eigenvectors (the canonical gauge
+    rebuilds a near-degenerate cluster as one eigenspace, and would mix
+    the weights of its distinct eigenvalues).
     """
     a = p.first.matrix if isinstance(p, QPredicate) else p.matrix
     if a.shape[0] != x.dim:
         raise ValueError("dimension mismatch")
-    eig = eigen_hermitian(a)
-    overlaps = np.abs(dagger(eig.vectors) @ x.vector) ** 2
-    return float(np.real(np.sum(eig.eigenvalues * overlaps)))
+    values, vectors = eigh_hermitian(a)
+    overlaps = np.abs(dagger(vectors) @ x.vector) ** 2
+    return float(np.real(np.sum(values * overlaps)))
 
 
 # -- classifiers, tests and measurement --------------------------------------

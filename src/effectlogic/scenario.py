@@ -73,13 +73,6 @@ class NameRef:
 
 
 @dataclass(frozen=True)
-class NumberLit:
-    value: float
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class CallExpr:
     fn: str
     args: tuple
@@ -102,17 +95,48 @@ class Scenario:
     queries: list[Query] = field(default_factory=list)
 
 
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![A-Za-z_.'])"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?![A-Za-z_.'])"
+    rf"\s*(?:(?P<num>{_NUM})"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_.']*)"
     r"|(?P<punct>[(),=]))"
 )
+# Two or more numbers that close an argument list, read as one "nums" token
+# holding their floats.  It is tried only after "(" or ",", so it can only be
+# the tail of a call's arguments: the parser appends its floats there, and no
+# error message can point inside it.  The scan takes the longest stretch of
+# digits, signs, ".", "e", "E", commas, spaces and tabs, in one
+# character-class repeat that keeps no backtracking record per number; over
+# those characters float() accepts exactly the comma-separated pieces that
+# _NUM accepts.  Anything else is read token by token, and no run is tried
+# again inside a failed scan, so a malformed line still costs linear time.
+_RUN_RE = re.compile(r"\s*(?P<run>[0-9.eE+\- \t,]*)(?P<close>\s*\))?")
 
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
+def _run_values(m: re.Match) -> Optional[tuple[float, ...]]:
+    run = m.group("run")
+    if m.group("close") is None or "," not in run:
+        return None
+    try:
+        return tuple(map(float, run.split(",")))
+    except ValueError:
+        return None
+
+
+def _tokenize(text: str, line: int) -> list[tuple]:
     tokens = []
     pos = 0
+    scanned = 0  # the end of the last run scan that failed
     while pos < len(text):
+        if pos >= scanned and tokens and tokens[-1][1] in ("(", ","):
+            m = _RUN_RE.match(text, pos)
+            values = _run_values(m)
+            if values is None:
+                scanned = m.end("run")
+            else:
+                tokens.append(("nums", values, m.start("run") + 1))
+                pos = m.end("run")
+                continue
         m = _TOKEN_RE.match(text, pos)
         if not m:
             if text[pos:].strip() == "":
@@ -147,7 +171,7 @@ class _ExprParser:
     def parse_expr(self):
         tok = self.take()
         if tok[0] == "num":
-            return NumberLit(float(tok[1]), self.line, tok[2])
+            return float(tok[1])
         if tok[0] != "name":
             raise ScenarioError(f"expected a name or number, found {tok[1]!r}", self.line, tok[2])
         nxt = self.peek()
@@ -159,6 +183,11 @@ class _ExprParser:
                 self.take()
                 return CallExpr(tok[1], tuple(args), self.line, tok[2])
             while True:
+                nxt = self.peek()
+                if nxt and nxt[0] == "nums":
+                    args.extend(nxt[1])
+                    self.i += 2  # the run and the ')' it closes with
+                    break
                 args.append(self.parse_expr())
                 sep = self.take()
                 if sep[0] != "punct" or sep[1] not in ",)":
@@ -290,7 +319,7 @@ class _Evaluator:
     # -- name validation ------------------------------------------------
 
     def validate_names(self, expr) -> None:
-        if isinstance(expr, NumberLit):
+        if isinstance(expr, float):
             return
         if isinstance(expr, NameRef):
             if expr.name not in self.scenario.declarations and expr.name not in self.builtins:
@@ -313,16 +342,16 @@ class _Evaluator:
                             f"argument {idx + 1} of {expr.fn} must be a label",
                             expr.line, expr.col,
                         )
-                    continue
-                self.validate_names(arg)
+                elif not isinstance(arg, float):
+                    self.validate_names(arg)
             return
         raise AssertionError("unreachable expression kind")
 
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, expr):
-        if isinstance(expr, NumberLit):
-            return expr.value
+        if isinstance(expr, float):
+            return expr
         if isinstance(expr, NameRef):
             if expr.name in self.scenario.declarations:
                 return self.scenario.declarations[expr.name]
@@ -340,10 +369,12 @@ class _Evaluator:
     def numbers(self, expr: CallExpr, start: int) -> list[float]:
         out = []
         for arg in expr.args[start:]:
-            value = self.evaluate(arg)
-            if not isinstance(value, _REAL):
-                raise QueryError(f"{expr.fn} expects numbers from position {start + 1}")
-            out.append(float(value))
+            if type(arg) is not float:  # a literal is its own value
+                arg = self.evaluate(arg)
+                if not isinstance(arg, _REAL):
+                    raise QueryError(f"{expr.fn} expects numbers from position {start + 1}")
+                arg = float(arg)
+            out.append(arg)
         return out
 
     def natural(self, expr: CallExpr) -> int:
@@ -571,12 +602,6 @@ def _apply_operator(instance: str, kind: str, args: list):
 # -- report formatting --------------------------------------------------------
 
 
-def _fmt_real(value: float, prec: int) -> str:
-    if value == 0.0:
-        value = 0.0
-    return f"{value:.{prec}f}"
-
-
 def format_value(value, prec: int) -> str:
     """Render a query result deterministically (matrices span lines)."""
     if value is None:
@@ -585,17 +610,20 @@ def format_value(value, prec: int) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    # adding 0.0 turns -0.0 into 0.0
     if isinstance(value, (float, np.floating)):
-        return _fmt_real(float(value), prec)
+        return f"{float(value) + 0.0:.{prec}f}"
     if isinstance(value, FinSet):
         return "{" + ",".join(value.labels) + "}"
     if isinstance(value, BoolPredicate):
         return "{" + ",".join(value.carrier.labels[i] for i in sorted(value.members)) + "}"
     if isinstance(value, FuzzyPredicate):
-        return "[" + ", ".join(_fmt_real(v, prec) for v in value.values) + "]"
+        template = ", ".join([f"%.{prec}f"] * len(value.values))
+        return "[" + template % tuple((value.values + 0.0).tolist()) + "]"
     if isinstance(value, Distribution):
-        pairs = [f"{l}: {_fmt_real(w, prec)}" for l, w in zip(value.carrier.labels, value.weights)]
-        return "{" + ", ".join(pairs) + "}"
+        template = ", ".join([l.replace("%", "%%") + f": %.{prec}f"
+                              for l in value.carrier.labels])
+        return "{" + template % tuple((value.weights + 0.0).tolist()) + "}"
     if isinstance(value, tuple) and value and value[0] == "tagged":
         _, carrier, tagged = value
         return f"{tagged.side}({carrier.labels[tagged.index]})"

@@ -10,6 +10,8 @@ identities.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlogic.linalg import (
     NotPsdError,
@@ -228,3 +230,108 @@ class TestMatrixLiterals:
             parse_matrix("2 2\n1+0i 0+0i")
         with pytest.raises(ValueError):
             parse_matrix("2\n1 2")
+
+    def test_no_columns(self):
+        # the blank rows of an n x 0 matrix may be written out or left out
+        assert format_matrix(np.zeros((2, 0))) == "2 0\n\n"
+        for text in ("2 0\n\n", "2 0"):
+            assert parse_matrix(text).shape == (2, 0)
+        with pytest.raises(ValueError, match="expected 2 rows, found 1"):
+            parse_matrix("2 0\n1")
+        with pytest.raises(ValueError, match="expected -1 rows, found 0"):
+            parse_matrix("-1 0")
+
+
+# -- the text layer against entry-wise references -----------------------------
+
+
+def reference_format_matrix(a, sig: int = 9) -> str:
+    """The entry-by-entry formatter that format_matrix replaces."""
+
+    def fmt_real(x: float) -> str:
+        if x == 0.0:
+            x = 0.0  # normalise -0.0
+        return f"{x:.{sig}g}"
+
+    def fmt_complex(z: complex) -> str:
+        im = float(z.imag)
+        return f"{fmt_real(float(z.real))}{'-' if im < 0 else '+'}{fmt_real(abs(im))}i"
+
+    a = np.asarray(a, dtype=np.complex128)
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    for i in range(a.shape[0]):
+        lines.append(" ".join(fmt_complex(a[i, j]) for j in range(a.shape[1])))
+    return "\n".join(lines)
+
+
+def reference_parse_matrix(text: str) -> np.ndarray:
+    """Reads every entry through parse_complex, one token at a time."""
+    lines = [ln for ln in (raw.strip() for raw in text.strip().splitlines()) if ln]
+    rows, cols = (int(x) for x in lines[0].split())
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for i, line in enumerate(lines[1:]):
+        for j, token in enumerate(line.split()):
+            out[i, j] = parse_complex(token)
+    return out
+
+
+SPECIAL_REALS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e20, -1e20, 0.1, -2.5,
+                 np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
+reals = st.sampled_from(SPECIAL_REALS) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def complex_matrices(draw, max_side=6, elements=reals):
+    rows = draw(st.integers(min_value=0, max_value=max_side))
+    cols = draw(st.integers(min_value=0, max_value=max_side))
+    parts = draw(st.lists(elements, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=complex_matrices(), sig=st.sampled_from([0, 1, 9, 17]))
+def test_format_matches_entrywise_reference(a, sig):
+    # NaN and infinities, of either sign, can reach the formatter through
+    # raw matrix literals, which are not validated
+    assert format_matrix(a, sig) == reference_format_matrix(a, sig)
+    assert format_matrix(a.T, sig) == reference_format_matrix(a.T, sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=complex_matrices(elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_format_parse_round_trip_every_shape(a):
+    back = parse_matrix(format_matrix(a, sig=17))
+    assert back.shape == a.shape
+    assert np.array_equal(back, a)
+
+
+# entries built from the grammar's parts (a real part, a signed imaginary
+# part, the unit), each part valid or not, plus noise with the characters
+# that complex() alone would accept (nan, inf, underscores, j, parentheses)
+signs = st.sampled_from(["", "+", "-"])
+mantissas = st.sampled_from(["", "1", "0", "12.5", "1.", ".5", "\u0663", "."])
+exponents = st.sampled_from(["", "", "e5", "E-3", "e+0", "e"])
+grammar_entries = st.tuples(signs, mantissas, exponents, signs, mantissas, exponents,
+                            st.sampled_from(["", "i"])).map("".join)
+NOISE = ["1", "-", "i", "e", "j", "J", "_", "(", ")", "nan", "inf", "."]
+noise_entries = st.lists(st.sampled_from(NOISE), min_size=1, max_size=4).map("".join)
+entries = st.one_of(grammar_entries, grammar_entries, grammar_entries, noise_entries).filter(bool)
+
+
+def parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", value.shape, value.tobytes()  # bytes tell signed zeros apart
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data(), rows=st.integers(min_value=1, max_value=2),
+       cols=st.integers(min_value=1, max_value=3))
+def test_parse_matches_tokenwise_reference(data, rows, cols):
+    tokens = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    sep = data.draw(st.sampled_from([" ", "  ", "\t", " \x1f ", "\u2003"]))
+    text = f"{rows} {cols}\n" + "\n".join(
+        sep.join(tokens[r * cols:(r + 1) * cols]) for r in range(rows))
+    assert parse_outcome(parse_matrix, text) == parse_outcome(reference_parse_matrix, text)

@@ -316,6 +316,15 @@ class TestBornProbability:
             p = random_predicate(r, n)
             assert abs(born_probability(x, p) - born_spectral(x, p)) < config.POST_EPS
 
+    @pytest.mark.parametrize("small", [[0.0, 5e-9], [5e-9, 0.0], [0.0, 3e-9, 6e-9]])
+    def test_two_routes_agree_inside_a_gauge_cluster(self, small):
+        # the eigenvalues share one gauge cluster; the spectral route must
+        # still weight each by the overlap with its own eigenvector
+        effect = Effect(np.diag(small))
+        for k in range(len(small)):
+            x = PureState(np.eye(len(small))[k])
+            assert abs(born_spectral(x, effect) - born_probability(x, effect)) < 1e-15
+
 
 class TestClassifier:
     def test_projection_pair_stacks_itself(self):

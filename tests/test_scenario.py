@@ -1,11 +1,13 @@
 """Scenario grammar, evaluation, demos and command-line behaviour."""
 
+import re
+
 import numpy as np
 import pytest
 
-from effectlogic import classical, cli, quantum, stochastic
+from effectlogic import classical, cli, linalg, quantum, scenario, stochastic
 from effectlogic.quantum import PureState, QPredicate
-from effectlogic.scenario import ScenarioError, format_value, parse_scenario, run
+from effectlogic.scenario import NameRef, ScenarioError, format_value, parse_scenario, run
 
 MINIMAL_QUANTUM = """\
 instance quantum
@@ -454,3 +456,196 @@ class TestCommandLine:
         for name in ("polarisation.scn", "weather.scn", "three_doors.scn"):
             assert cli.main(["run", str(base / name)]) == 0
             capsys.readouterr()
+
+
+# -- the text layer: reports and parse errors frozen from the token-by-token
+# reader and entry-by-entry writer that the array-wise ones replace ----------
+
+TEXT_LAYER_SCENARIO = (
+    'instance quantum\n'
+    'let rho2 = matrix 2 2\n'
+    '0.75+0i 0.25-0.125i\n'
+    '0.25+0.125i 0.25+0i\n'
+    'let a2 = matrix 2 2\n'
+    '0.64+0i 0+0i\n'
+    '0+0i 0.36+0i\n'
+    'let rho4 = matrix 4 4\n'
+    '0.4+0i 0.05+0.05i 0+0i 0+0i\n'
+    '0.05-0.05i 0.3+0i 0+0i 0+0i\n'
+    '0+0i 0+0i 0.2+0i 0.02-0.01i\n'
+    '0+0i 0+0i 0.02+0.01i 0.1+0i\n'
+    'let a4 = matrix 4 4\n'
+    '0.9+0i 0+0i 0+0i 0+0i\n'
+    '0+0i 0.5+0i 0+0i 0+0i\n'
+    '0+0i 0+0i 0.25+0i 0+0i\n'
+    '0+0i 0+0i 0+0i 0+0i\n'
+    'let tiny = matrix 2 2\n'
+    '0.5+0i 1e-300-0i\n'
+    '1e-300+0i -0-0i\n'
+    'query measure(effect(a2), density(rho2))\n'
+    'query measure(predicate(a4), density(rho4))\n'
+    'query comprehension(effect(a2))\n'
+    'query multiply(1, effect(tiny))\n'
+    'query multiply(-0.0, effect(tiny))\n'
+    'query measure(effect(a2), density(rho2)) precision 0\n'
+    'query measure(predicate(a4), density(rho4)) precision 17\n'
+    'query multiply(1, effect(tiny)) precision 17\n'
+    'query measure(effect(a2), density(rho2)) precision 17\n'
+)
+
+TEXT_LAYER_REPORT = (
+    '0: measure = 4 4\n'
+    '0.48+0i 0.12-0.06i 0.36+0i 0.16-0.08i\n'
+    '0.12+0.06i 0.09+0i 0.09+0.045i 0.12+0i\n'
+    '0.36+0i 0.09-0.045i 0.27+0i 0.12-0.06i\n'
+    '0.16+0.08i 0.12+0i 0.12+0.06i 0.16+0i\n'
+    '1: measure = 8 8\n'
+    '0.36+0i 0.0335410197+0.0335410197i 0+0i 0+0i 0.12+0i 0.0335410197+0.0335410197i 0+0i 0+0i\n'
+    '0.0335410197-0.0335410197i 0.15+0i 0+0i 0+0i 0.0111803399-0.0111803399i 0.15+0i 0+0i 0+0i\n'
+    '0+0i 0+0i 0.05+0i 0+0i 0+0i 0+0i 0.0866025404+0i 0.01-0.005i\n'
+    '0+0i 0+0i 0+0i 0+0i 0+0i 0+0i 0+0i 0+0i\n'
+    '0.12+0i 0.0111803399+0.0111803399i 0+0i 0+0i 0.04+0i 0.0111803399+0.0111803399i 0+0i 0+0i\n'
+    '0.0335410197-0.0335410197i 0.15+0i 0+0i 0+0i 0.0111803399-0.0111803399i 0.15+0i 0+0i 0+0i\n'
+    '0+0i 0+0i 0.0866025404+0i 0+0i 0+0i 0+0i 0.15+0i 0.0173205081-0.00866025404i\n'
+    '0+0i 0+0i 0.01+0.005i 0+0i 0+0i 0+0i 0.0173205081+0.00866025404i 0.1+0i\n'
+    '2: comprehension = 2 0\n'
+    '\n'
+    '\n'
+    '3: multiply = 2 2\n'
+    '0.5+0i 1e-300+0i\n'
+    '1e-300+0i 0+0i\n'
+    '4: multiply = 2 2\n'
+    '0+0i 0+0i\n'
+    '0+0i 0+0i\n'
+    '5: measure = 4 4\n'
+    '0.5+0i 0.1-0.06i 0.4+0i 0.2-0.08i\n'
+    '0.1+0.06i 0.09+0i 0.09+0.04i 0.1+0i\n'
+    '0.4+0i 0.09-0.04i 0.3+0i 0.1-0.06i\n'
+    '0.2+0.08i 0.1+0i 0.1+0.06i 0.2+0i\n'
+    '6: measure = 8 8\n'
+    '0.36000000000000004+0i 0.033541019662496847+0.033541019662496847i 0+0i 0+0i 0.12+0i 0.033541019662496847+0.033541019662496847i 0+0i 0+0i\n'
+    '0.033541019662496847-0.033541019662496847i 0.15000000000000002+0i 0+0i 0+0i 0.011180339887498949-0.011180339887498949i 0.15000000000000002+0i 0+0i 0+0i\n'
+    '0+0i 0+0i 0.050000000000000003+0i 0+0i 0+0i 0+0i 0.086602540378443865+0i 0.01-0.0050000000000000001i\n'
+    '0+0i 0+0i 0+0i 0+0i 0+0i 0+0i 0+0i 0+0i\n'
+    '0.11999999999999998+0i 0.011180339887498949+0.011180339887498949i 0+0i 0+0i 0.039999999999999994+0i 0.011180339887498949+0.011180339887498949i 0+0i 0+0i\n'
+    '0.033541019662496847-0.033541019662496847i 0.15000000000000002+0i 0+0i 0+0i 0.011180339887498949-0.011180339887498949i 0.15000000000000002+0i 0+0i 0+0i\n'
+    '0+0i 0+0i 0.086602540378443865+0i 0+0i 0+0i 0+0i 0.14999999999999999+0i 0.017320508075688773-0.0086602540378443865i\n'
+    '0+0i 0+0i 0.01+0.0050000000000000001i 0+0i 0+0i 0+0i 0.017320508075688773+0.0086602540378443865i 0.10000000000000001+0i\n'
+    '7: multiply = 2 2\n'
+    '0.5+0i 1e-300+0i\n'
+    '1e-300+0i 0+0i\n'
+    '8: measure = 4 4\n'
+    '0.48000000000000009+0i 0.12-0.059999999999999998i 0.36000000000000004+0i 0.16000000000000003-0.080000000000000016i\n'
+    '0.12+0.059999999999999998i 0.089999999999999997+0i 0.089999999999999997+0.044999999999999998i 0.12+0i\n'
+    '0.35999999999999999+0i 0.089999999999999997-0.044999999999999998i 0.26999999999999996+0i 0.12-0.059999999999999998i\n'
+    '0.16000000000000003+0.080000000000000016i 0.12+0i 0.12+0.059999999999999998i 0.16000000000000003+0i\n'
+)
+
+STOCHASTIC_HEAD = 'instance stochastic\nlet X = carrier(a, b)\nlet Y = carrier(u, v)\nlet p = fuzzy(X, 0.5, 1)\n'
+CLASSICAL_HEAD = 'instance classical\nlet X = carrier(a, b)\n'
+
+# number runs closing an argument list or followed by more arguments,
+# malformed numbers inside a run, and runs in nested query calls
+PARSE_ERRORS = [
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 1.2.3)\n', (5, 25, "expected ',' or ')', found '2.3'")),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 1e, 0.25)\n', (5, 22, "unexpected character '1'")),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.25,  3x)\n', (5, 23, "unexpected character '3'")),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 0.5,)\n', (5, 27, "expected a name or number, found ')'")),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 0.5\n', (5, 1, 'unexpected end of line')),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5 0.5)\n', (5, 22, "expected ',' or ')', found '0.5'")),
+    (STOCHASTIC_HEAD, 'query andthen(p, fuzzy(X, 0.5, 0.5) extra)\n', (5, 37, "expected ',' or ')', found 'extra'")),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, X, 0.5, 0.5)\n', (5, 1, 'fuzzy expects numbers from position 2')),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 0.5, 0.5)\n', (5, 1, 'value vector length must match carrier size')),
+    (STOCHASTIC_HEAD, 'let K = stochmap(X, Y, 0.5, 0.5, 0.5)\n', (5, 1, 'stochmap needs 4 entries, got 3')),
+    (STOCHASTIC_HEAD, 'let K = stochmap(X, 0.5, 0.5, 0.5, 0.5)\n', (5, 1, 'argument 2 of stochmap must be a carrier')),
+    (STOCHASTIC_HEAD, 'query multiply(0.5, 0.25, 0.125)\n', (5, 7, 'multiply takes 2 arguments, got 3')),
+    (STOCHASTIC_HEAD, 'query andthen(p, then(0.1, 0.2, 0.3))\n', (5, 18, 'then takes 2 arguments, got 3')),
+    (STOCHASTIC_HEAD, 'query orthosum(p, multiply(0.5, 0.25, p))\n', (5, 19, 'multiply takes 2 arguments, got 3')),
+    (STOCHASTIC_HEAD, 'query then(p, p) precision 1, 2)\n', (5, 29, "trailing input ','")),
+    (STOCHASTIC_HEAD, 'query (0.5, 0.5)\n', (5, 7, "expected a name or number, found '('")),
+    (STOCHASTIC_HEAD, 'let q = (0.5, 0.5)\n', (5, 9, "expected a name or number, found '('")),
+    (STOCHASTIC_HEAD, 'let q(0.5, 0.5)\n', (5, 6, "expected '=' after the name")),
+    (STOCHASTIC_HEAD, 'let K = matrix(2, 2)\n', (5, 1, "matrix literal needs 'matrix ROWS COLS'")),
+    (CLASSICAL_HEAD, 'let s = subset(X, 1, 2, a)\n', (3, 9, 'argument 2 of subset must be a label')),
+    (CLASSICAL_HEAD, 'let s = subset(X, a, 1, 2)\n', (3, 9, 'argument 3 of subset must be a label')),
+    (CLASSICAL_HEAD, 'query states(1, 2)\n', (3, 7, 'states takes 1 arguments, got 2')),
+    (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, 1, 2))\n', (3, 29, 'argument 2 of elem must be a label')),
+]
+
+
+class TestTextLayer:
+    def test_golden_quantum_report(self):
+        # density measures at dims 2 and 4, a trivial-kernel comprehension,
+        # -0.0 and 1e-300 entries, precision 0 and 17
+        assert run(parse_scenario(TEXT_LAYER_SCENARIO)) == (TEXT_LAYER_REPORT, True)
+
+    @pytest.mark.parametrize("head,line,expected", PARSE_ERRORS)
+    def test_parse_error_positions(self, head, line, expected):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(head + line)
+        assert (err.value.line, err.value.col, err.value.message) == expected
+
+    def test_number_runs_read_like_single_numbers(self):
+        sc = parse_scenario(STOCHASTIC_HEAD + "query multiply(0.5, fuzzy(X, 0.25,\t.5))\n"
+                            "query multiply(0.5, fuzzy(X, 0.25 ,\x1f1))\n")
+        assert [q.args[1].args for q in sc.queries] == [
+            (NameRef("X", 5, 27), 0.25, 0.5), (NameRef("X", 6, 27), 0.25, 1.0)]
+        assert run(sc) == ("0: multiply = [0.125000000, 0.250000000]\n"
+                           "1: multiply = [0.125000000, 0.500000000]\n", True)
+
+    # a 20k-number stochmap left unclosed, or with a bad entry near its end
+    @pytest.mark.parametrize("tail,expected", [
+        ("", (5, 1, "unexpected end of line")),
+        (", 3x, 0.5)", (5, 100023, "unexpected character '3'")),
+        (", 1.2.3)", (5, 100026, "expected ',' or ')', found '2.3'")),
+        (" 0.5)", (5, 100023, "expected ',' or ')', found '0.5'")),
+        (",)", (5, 100023, "expected a name or number, found ')'")),
+    ])
+    def test_long_malformed_run_is_read_once(self, monkeypatch, tail, expected):
+        line = "let K = stochmap(X, Y, " + ", ".join(["0.5"] * 20000) + tail + "\n"
+        scanned = []
+
+        class CountingRun:
+            def match(self, text, pos):
+                m = RUN_RE.match(text, pos)
+                scanned.append(m.end() - pos)
+                return m
+
+        RUN_RE = scenario._RUN_RE
+        monkeypatch.setattr(scenario, "_RUN_RE", CountingRun())
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(STOCHASTIC_HEAD + line)
+        assert (err.value.line, err.value.col, err.value.message) == expected
+        # no character is scanned twice for a run that fails
+        assert sum(scanned) <= len(line)
+
+    @pytest.mark.parametrize("module", [linalg, scenario])
+    def test_patterns_need_no_newer_regex_syntax(self, module):
+        # possessive repeats and atomic groups need Python 3.11, and the
+        # package supports 3.10
+        patterns = [v for v in vars(module).values() if isinstance(v, re.Pattern)]
+        assert patterns
+        for pattern in patterns:
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
+
+    def test_matrix_without_columns_reads_back(self):
+        out, _ = run(parse_scenario(TEXT_LAYER_SCENARIO))
+        written = out.split("2: comprehension = ")[1].split("3: ")[0]
+        assert written == "2 0\n\n\n"
+        sc = parse_scenario("instance quantum\nlet K = matrix " + written)
+        assert sc.declarations["K"].shape == (2, 0)
+
+    @pytest.mark.parametrize("prec", [0, 3, 9, 17])
+    def test_lists_match_entrywise_reference(self, prec):
+        carrier = classical.finset("a", "b%", "c")
+        values = np.array([-0.0, 1e-300, 1.0 - 1e-17])
+        fuzzy = stochastic.FuzzyPredicate(carrier, values)
+        dist = stochastic.Distribution(carrier, np.array([0.5, -0.0, 0.5]))
+
+        def fixed(x):
+            return f"{0.0 if x == 0.0 else x:.{prec}f}"
+
+        assert format_value(fuzzy, prec) == "[" + ", ".join(fixed(v) for v in values) + "]"
+        assert format_value(dist, prec) == (
+            "{a: " + fixed(0.5) + ", b%: " + fixed(0.0) + ", c: " + fixed(0.5) + "}")
+        assert format_value(-0.0, prec) == fixed(0.0)
