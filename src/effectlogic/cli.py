@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=9,
                         help="decimal digits for reported reals (default 9)")
     common.add_argument("--eps", type=float, default=None,
-                        help="override the global structural tolerance")
+                        help="set the structural tolerance EPS (POST_EPS becomes "
+                             "max(10 EPS, 1e-8))")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", parents=[common], help="evaluate a scenario file")
     p_run.add_argument("file")

@@ -2,29 +2,19 @@
 
 The eigendecomposition, operator square roots, the semidefinite (Loewner)
 order, traces and kernel bases.  Matrices are numpy arrays of complex128.
-The spectrum comes from LAPACK through ``numpy.linalg.eigh``; the
-eigenvector gauge is fixed afterwards by a rule that depends on the
-eigenspaces alone, so any correct solver gives the same vectors (golden
-outputs elsewhere depend on this gauge).  Square roots, as functions of
-the matrix, take the solver's own vectors, and checks that read only the
-extremes of a spectrum take its eigenvalues alone from
-``numpy.linalg.eigvalsh``; neither needs the gauge.
-
-Conventions:
-
-* eigenvalues are returned in descending order;
-* inside each cluster of eigenvalues closer than ``CLUSTER_TOL`` the
-  basis is Gram-Schmidt over the columns ``P e_i`` of the cluster
-  projector ``P``, largest residual norm first (ties within
-  ``CLUSTER_TOL`` go to the lowest index);
-* each eigenvector is scaled so that its first entry within
-  ``CLUSTER_TOL`` of its largest modulus is real and positive.
+Every eigenvector solve goes through ``eigen_hermitian``: LAPACK's
+``numpy.linalg.eigh``, eigenvalues descending, the solver's own vectors,
+which square roots (functions of the matrix) take as they come.  Checks
+that read only the extremes of a spectrum take its eigenvalues alone from
+``numpy.linalg.eigvalsh``.  Kernel bases are output, and golden outputs
+depend on them, so ``kernel_basis`` alone fixes a gauge, from the kernel
+itself, in which any correct solver gives the same columns.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +50,8 @@ def hermitian_deviation(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a))))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigen:
-    """Spectral data: real eigenvalues (descending) and orthonormal columns."""
+class HermitianEigen(NamedTuple):
+    """Real eigenvalues (descending) and the solver's orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -75,63 +64,30 @@ def _checked_hermitian(a) -> np.ndarray:
     return a
 
 
-def eigh_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and the solver's own eigenvector columns."""
-    values, vecs = np.linalg.eigh(hermitian_part(_checked_hermitian(a)))
-    return values[::-1].copy(), vecs[:, ::-1]
-
-
 def eigen_hermitian(a) -> HermitianEigen:
-    """Diagonalise a Hermitian matrix under the canonical gauge.
+    """Diagonalise a Hermitian matrix: the package's one eigenvector solve.
 
     The input may deviate from Hermitian by at most ``config.EPS`` per
-    entry and is symmetrised before the decomposition.
+    entry and is symmetrised before the decomposition.  The vectors are
+    the solver's own, in no gauge.
     """
-    values, vecs = eigh_hermitian(a)
-    if values.size == 0:
-        return HermitianEigen(values, vecs)
-    return HermitianEigen(values, _canonical_gauge(values, vecs))
+    values, vecs = np.linalg.eigh(hermitian_part(_checked_hermitian(a)))
+    return HermitianEigen(values[::-1].copy(), vecs[:, ::-1])
 
 
 def eigvals_hermitian(a) -> np.ndarray:
     """The eigenvalues of a Hermitian matrix, descending, without vectors.
 
     Same input checks as ``eigen_hermitian``; for the checks that read
-    only the extremes of a spectrum, which need no eigenvectors and so no
-    gauge.
+    only the extremes of a spectrum.
     """
     return np.linalg.eigvalsh(hermitian_part(_checked_hermitian(a)))[::-1]
 
 
-def _canonical_gauge(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rebuild the eigenvector columns from the eigenspaces alone."""
-    n = len(values)
-    vecs = vecs.copy()
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop - 1] - values[stop] < config.CLUSTER_TOL:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            residual = block @ dagger(block)
-            for j in range(start, stop):
-                norms = np.linalg.norm(residual, axis=0)
-                pivot = int(np.argmax(norms >= norms.max() - config.CLUSTER_TOL))
-                q = residual[:, pivot] / norms[pivot]
-                residual = residual - np.outer(q, q.conj() @ residual)
-                vecs[:, j] = q
-        start = stop
-    moduli = np.abs(vecs)
-    rows = np.argmax(moduli >= moduli.max(axis=0) - config.CLUSTER_TOL, axis=0)
-    pivots = vecs[rows, np.arange(n)]
-    return vecs * (pivots.conj() / np.abs(pivots))
-
-
 def is_psd(a) -> bool:
-    """Positive semidefinite: smallest eigenvalue above -PSD_TOL."""
+    """Positive semidefinite: smallest eigenvalue at least -EPS."""
     values = eigvals_hermitian(a)
-    return bool(values.size == 0 or values[-1] >= -config.PSD_TOL)
+    return bool(values.size == 0 or values[-1] >= -config.EPS)
 
 
 def loewner_leq(a, b) -> bool:
@@ -152,50 +108,71 @@ def trace(a) -> complex:
 def sqrt_psd(a) -> np.ndarray:
     """The positive square root of a positive semidefinite matrix.
 
-    Eigenvalues below ``PSD_TOL`` in magnitude are treated as exact zeros
-    (the square root would amplify eigenvalue dust from 1e-16 to 1e-8);
-    anything below -PSD_TOL raises ``NotPsdError``.  Projections are
-    reproduced sharply, since their spectrum is fixed by the square root.
+    Eigenvalues below ``EPS`` are treated as exact zeros (the square root
+    would amplify eigenvalue dust from 1e-16 to 1e-8); anything below -EPS
+    raises ``NotPsdError``.  Projections are reproduced sharply, since
+    their spectrum is fixed by the square root.
     """
-    values, vecs = eigh_hermitian(a)
-    if values.size and values[-1] < -config.PSD_TOL:
-        raise NotPsdError(f"eigenvalue {values[-1]} below -{config.PSD_TOL}")
-    return _spectral_sqrt(vecs, np.where(values < config.PSD_TOL, 0.0, values))
+    values, vecs = eigen_hermitian(a)
+    if values.size and values[-1] < -config.EPS:
+        raise NotPsdError(f"eigenvalue {values[-1]} below -{config.EPS}")
+    return _spectral_sqrt(vecs, np.where(values < config.EPS, 0.0, values))
 
 
 def complementary_sqrts(a) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(A) and sqrt(I - A) of an effect A, from one decomposition.
 
-    Eigenvalues within ``PSD_TOL`` of 0 or 1 are snapped there, so each
-    pair of squared roots sums to exactly 1 and the stacked roots form an
+    Eigenvalues within ``EPS`` of 0 or 1 are snapped there, so each pair
+    of squared roots sums to exactly 1 and the stacked roots form an
     isometry that loses no probability mass.
     """
-    values, vecs = eigh_hermitian(a)
-    tol = config.PSD_TOL
+    values, vecs = eigen_hermitian(a)
+    tol = config.EPS
     values = np.where(values < tol, 0.0, np.where(1.0 - values < tol, 1.0, values))
     return _spectral_sqrt(vecs, values), _spectral_sqrt(vecs, 1.0 - values)
 
 
 def _spectral_sqrt(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # vectors straight from the solver: the canonical gauge rebuilds a
-    # near-degenerate cluster as one eigenspace and would misplace the roots
-    # of its distinct eigenvalues
+    # vectors straight from the solver: each root sits on its own
+    # eigenvector, however close its neighbours are
     root = vectors @ np.diag(np.sqrt(values)) @ dagger(vectors)
     return hermitian_part(root)
 
 
 def kernel_basis(a) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspaces with |eigenvalue| < KERNEL_TOL.
+    """Orthonormal columns spanning the eigenspaces with |eigenvalue| < POST_EPS.
 
+    The columns are selected on the solver's own vectors, then put in the
+    canonical gauge, which depends on the selected subspace alone.
     Returns an n x 0 matrix when the kernel is trivial.
     """
-    values, vecs = eigh_hermitian(a)
-    kernel = vecs[:, np.abs(values) < config.KERNEL_TOL]
-    if not kernel.shape[1]:
-        return kernel
-    # selected on the solver's own vectors, then gauged as one eigenspace: a
-    # gauge cluster of the whole spectrum may straddle KERNEL_TOL
-    return _canonical_gauge(np.zeros(kernel.shape[1]), kernel)
+    values, vecs = eigen_hermitian(a)
+    kernel = vecs[:, np.abs(values) < config.POST_EPS]
+    return _kernel_gauge(kernel) if kernel.shape[1] else kernel
+
+
+def _kernel_gauge(block: np.ndarray) -> np.ndarray:
+    """Rebuild orthonormal columns from the subspace they span.
+
+    Gram-Schmidt over the columns ``P e_i`` of the projector ``P``, the
+    largest residual first (ties within ``POST_EPS`` go to the lowest
+    index); then each column is scaled so that its first entry within
+    ``POST_EPS`` of its largest modulus is real and positive.
+    """
+    k = block.shape[1]
+    if k > 1:
+        residual = block @ dagger(block)
+        block = np.empty_like(block)
+        for j in range(k):
+            norms = np.linalg.norm(residual, axis=0)
+            pivot = int(np.argmax(norms >= norms.max() - config.POST_EPS))
+            q = residual[:, pivot] / norms[pivot]
+            residual = residual - np.outer(q, q.conj() @ residual)
+            block[:, j] = q
+    moduli = np.abs(block)
+    rows = np.argmax(moduli >= moduli.max(axis=0) - config.POST_EPS, axis=0)
+    pivots = block[rows, np.arange(k)]
+    return block * (pivots.conj() / np.abs(pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +182,7 @@ def kernel_basis(a) -> np.ndarray:
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 _REAL_RE = re.compile(rf"^(?P<re>{_NUM})$")
 _IMAG_RE = re.compile(rf"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
 # Deletes the characters of plain rows.  Over those, with i read as j,
@@ -243,6 +221,16 @@ def format_matrix(a, sig: int = 9) -> str:
     return "\n".join([f"{rows} {cols}"] + [template % tuple(row) for row in parts.tolist()])
 
 
+def parse_shape(rows: str, cols: str) -> tuple[int, int]:
+    """The "rows cols" header of a matrix literal: non-negative integers."""
+    if not (_INT_RE.fullmatch(rows) and _INT_RE.fullmatch(cols)):
+        raise ValueError(f"matrix size must be two integers 'rows cols', got '{rows} {cols}'")
+    shape = int(rows), int(cols)
+    if min(shape) < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    return shape
+
+
 def parse_matrix(text: str) -> np.ndarray:
     lines = [ln for ln in (raw.strip() for raw in text.strip().splitlines()) if ln]
     if not lines:
@@ -250,7 +238,7 @@ def parse_matrix(text: str) -> np.ndarray:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("matrix literal must start with 'rows cols'")
-    rows, cols = int(head[0]), int(head[1])
+    rows, cols = parse_shape(*head)
     found = len(lines) - 1
     if found != rows and not (found == 0 and cols == 0 and rows > 0):
         raise ValueError(f"expected {rows} rows, found {found}")

@@ -11,7 +11,7 @@ Each value is validated once, from its eigenvalues alone, and not at all
 when its bounds follow from bounds already checked: spec(I - A) is
 1 - spec(A) and spec(s A) is s spec(A).
 
-Substitution along an isometry f is conjugation, componentwise f* q f;
+Substitution along an isometry f is conjugation f* A f of the left part;
 its scalar case (f a unit column vector) is the probability of the
 predicate in that state.  The classifier of a predicate is the stacked
 pair of square roots, an isometry into the doubled space, and measurement
@@ -32,7 +32,7 @@ from .linalg import (
     as_matrix,
     complementary_sqrts,
     dagger,
-    eigh_hermitian,
+    eigen_hermitian,
     eigvals_hermitian,
     hermitian_deviation,
     hermitian_part,
@@ -65,7 +65,7 @@ class Effect:
 
 
 def _check_effect_spectrum(vals: np.ndarray) -> None:
-    if vals.size and (vals[-1] < -config.PSD_TOL or vals[0] > 1.0 + config.PSD_TOL):
+    if vals.size and (vals[-1] < -config.EPS or vals[0] > 1.0 + config.EPS):
         raise ValueError(f"effect spectrum [{vals[-1]}, {vals[0]}] leaves [0, 1]")
 
 
@@ -152,7 +152,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_matrix(self.matrix)
         vals = eigvals_hermitian(m)
-        if vals.size and vals[-1] < -config.PSD_TOL:
+        if vals.size and vals[-1] < -config.EPS:
             raise ValueError("density matrix must be positive semidefinite")
         if abs(trace(m).real - 1.0) > config.EPS:
             raise ValueError(f"trace {trace(m).real} is not 1")
@@ -170,7 +170,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """A tall matrix V with V*V equal to the identity on its source."""
+    """A tall matrix V with V*V within ``EPS`` of the identity in the
+    Frobenius norm, so V*V <= (1 + EPS) I and conjugation keeps effects."""
 
     matrix: np.ndarray
 
@@ -181,7 +182,7 @@ class Isometry:
             raise ValueError("isometry must have at least as many rows as columns")
         if cols:
             gram = dagger(m) @ m
-            if np.max(np.abs(gram - np.eye(cols))) > config.POST_EPS:
+            if np.linalg.norm(gram - np.eye(cols)) > config.EPS:
                 raise ValueError("columns are not orthonormal")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -205,7 +206,7 @@ def orthosum(p: QPredicate, q: QPredicate):
         raise ValueError("dimension mismatch")
     s = p.first.matrix + q.first.matrix
     vals = eigvals_hermitian(s)
-    if vals.size and vals[0] > 1.0 + config.PSD_TOL:
+    if vals.size and vals[0] > 1.0 + config.EPS:
         return None
     _check_effect_spectrum(vals)
     return QPredicate(_implied_effect(s))
@@ -220,14 +221,13 @@ def probability_multiply(s: float, p: QPredicate) -> QPredicate:
 
 
 def substitute(f: Isometry, q: QPredicate) -> QPredicate:
-    """Pull a predicate back along an isometry, conjugating both parts."""
+    """Pull a predicate back along an isometry by conjugating its left part.
+
+    The right part follows: f* (I - A) f = I - f* A f, because f* f = I.
+    """
     if f.target_dim != q.dim:
         raise ValueError("predicate dimension must match the isometry target")
-    v = f.matrix
-    return QPredicate(
-        Effect(dagger(v) @ q.first.matrix @ v),
-        Effect(dagger(v) @ q.second.matrix @ v),
-    )
+    return QPredicate(substitute_effect(f, q.first))
 
 
 def substitute_effect(f: Isometry, a: Effect) -> Effect:
@@ -255,14 +255,12 @@ def born_spectral(x: PureState, p: QPredicate | Effect) -> float:
     """The same probability through the spectral decomposition.
 
     Independent route for cross-checking: eigenvalues weight the squared
-    overlaps with the solver's own eigenvectors (the canonical gauge
-    rebuilds a near-degenerate cluster as one eigenspace, and would mix
-    the weights of its distinct eigenvalues).
+    overlaps with the solver's own eigenvectors, which need no gauge.
     """
     a = p.first.matrix if isinstance(p, QPredicate) else p.matrix
     if a.shape[0] != x.dim:
         raise ValueError("dimension mismatch")
-    values, vectors = eigh_hermitian(a)
+    values, vectors = eigen_hermitian(a)
     overlaps = np.abs(dagger(vectors) @ x.vector) ** 2
     return float(np.real(np.sum(values * overlaps)))
 
@@ -391,7 +389,7 @@ def projective_compose(projections: Sequence[Effect | np.ndarray]) -> Projective
         remainder = (np.eye(n) - m) @ remainder
     components.append(hermitian_part(remainder))
     for derived, given in zip(components, mats):
-        if np.max(np.abs(derived - given)) > config.PSD_TOL:
+        if np.max(np.abs(derived - given)) > config.EPS:
             raise AssertionError("nested binary tests failed to reproduce the family")
     return ProjectiveMeasurement(tuple(Effect(c) for c in components), predicates)
 

@@ -249,9 +249,10 @@ def parse_scenario(text: str) -> Scenario:
             if body and body[0][0] == "name" and body[0][1] == "matrix":
                 if len(body) != 3 or body[1][0] != "num" or body[2][0] != "num":
                     raise ScenarioError("matrix literal needs 'matrix ROWS COLS'", lineno)
-                rows, cols = int(float(body[1][1])), int(float(body[2][1]))
-                if rows < 0 or cols < 0:
-                    raise ScenarioError("matrix dimensions must be non-negative", lineno)
+                try:
+                    rows, cols = linalg.parse_shape(body[1][1], body[2][1])
+                except ValueError as exc:
+                    raise ScenarioError(str(exc), lineno) from None
                 entry_lines = []
                 for r in range(rows):
                     if i >= len(lines):

@@ -6,8 +6,9 @@ predicates are [0, 1]-valued vectors.  Maps are row-stochastic kernels,
 substitution is the expected value of the predicate under the kernel row,
 and a predicate doubles as its own classifier into X + X.
 
-All arithmetic is double precision; the global tolerance ``config.EPS``
-decides equality, definedness of the partial sum and normalisation.
+All arithmetic is double precision; the structural tolerance
+``config.EPS`` decides equality, definedness of the partial sum and
+normalisation, and ``config.POST_EPS`` which points are certain.
 Values drifting into [-EPS, 0) or (1, 1 + EPS] are clamped back into the
 unit interval.
 """
@@ -182,8 +183,12 @@ def test_then(p: FuzzyPredicate, q: FuzzyPredicate) -> FuzzyPredicate:
 
 
 def comprehension(p: FuzzyPredicate) -> tuple[FinSet, StochasticMap]:
-    """The sub-carrier where p is (numerically) certain, with its inclusion."""
-    included = [i for i in range(p.carrier.size) if p.values[i] >= 1.0 - config.EPS]
+    """The sub-carrier where p is certain, with its inclusion.
+
+    A point is certain when its value is within ``POST_EPS`` of 1: the
+    rule the quantum kernel basis applies to the eigenvalues of I - A.
+    """
+    included = [i for i in range(p.carrier.size) if 1.0 - p.values[i] < config.POST_EPS]
     sub = FinSet(tuple(p.carrier.labels[i] for i in included))
     return sub, deterministic(included, sub, p.carrier)
 

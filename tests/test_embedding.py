@@ -14,6 +14,7 @@ every operation commutes with these embeddings.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -78,15 +79,20 @@ def test_sequential_tests_commute(pair):
 @given(fuzzy_pair())
 def test_comprehension_commutes(pair):
     p, _ = pair
-    # the quantum kernel keeps eigenvalues within KERNEL_TOL of certainty,
-    # the stochastic instance points within EPS: the band between them is
-    # left to either side
-    assume(not np.any((p.values > 1.0 - config.KERNEL_TOL) & (p.values < 1.0 - config.EPS)))
     sub, _ = stochastic.comprehension(p)
     inclusion = quantum.comprehension(embed(p)).matrix
     assert inclusion.shape == (p.carrier.size, sub.size)
-    certain = (p.values >= 1.0 - config.EPS).astype(float)
+    certain = (1.0 - p.values < config.POST_EPS).astype(float)
     assert_diagonal(inclusion @ inclusion.conj().T, certain)
+
+
+@pytest.mark.parametrize("value,size", [(1.0, 1), (1.0 - 5e-9, 1), (1.0 - 2e-8, 0)])
+def test_comprehension_band_edge(value, size):
+    # both instances count a value within POST_EPS of 1 as certain
+    p = stochastic.FuzzyPredicate(range_finset(2), [value, 0.3])
+    sub, _ = stochastic.comprehension(p)
+    assert sub.size == size
+    assert quantum.comprehension(embed(p)).matrix.shape == (2, size)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,8 @@ polynomial.  The library's spectrum also comes from LAPACK (through
 numpy's ``eigh``), so the comparison with ``eigvalsh`` checks the
 descending order rather than the solver; the solver-independent checks
 are reconstruction, orthonormality and the trace and Frobenius
-identities.
+identities.  The solver's vectors carry no gauge; the canonical gauge of
+kernel bases is tested on ``kernel_basis``.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effectlogic import linalg
 from effectlogic.linalg import (
+    HermitianEigen,
     NotPsdError,
     dagger,
     eigen_hermitian,
@@ -41,13 +44,19 @@ class TestEigenHermitian:
 
     def test_hand_solved_2x2(self):
         # trace 3/4, determinant 1/8 -> eigenvalues 1/2 and 1/4,
-        # eigenvectors proportional to (1, 1) and (1, -1)
+        # eigenvectors proportional to (1, 1) and (1, -1); the solver's
+        # vectors carry no gauge, so they are compared up to phase
         a = np.array([[3.0, 1.0], [1.0, 3.0]]) / 8.0
         eig = eigen_hermitian(a)
         assert np.allclose(eig.eigenvalues, [0.5, 0.25], atol=1e-12)
         s = 1 / np.sqrt(2)
-        assert np.allclose(eig.vectors[:, 0], [s, s], atol=1e-12)
-        assert np.allclose(eig.vectors[:, 1], [s, -s], atol=1e-12)
+        assert abs(np.vdot(eig.vectors[:, 0], [s, s])) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(eig.vectors[:, 1], [s, -s])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unpacks_as_values_and_vectors(self):
+        values, vectors = eigen_hermitian(np.diag([0.25, 1.0]))
+        assert np.array_equal(values, [1.0, 0.25])
+        assert vectors.shape == (2, 2)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(42)
@@ -77,25 +86,11 @@ class TestEigenHermitian:
             assert abs(np.sum(eig.eigenvalues) - np.trace(a).real) < 1e-9
             assert abs(np.linalg.norm(eig.eigenvalues) - np.linalg.norm(a)) < 1e-8
 
-    def test_descending_order_and_phase_gauge(self):
+    def test_descending_order(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            a = random_hermitian(rng, 6)
-            eig = eigen_hermitian(a)
+            eig = eigen_hermitian(random_hermitian(rng, 6))
             assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
-            for j in range(6):
-                col = eig.vectors[:, j]
-                pivot = col[int(np.argmax(np.abs(col)))]
-                assert pivot.imag == pytest.approx(0.0, abs=1e-12)
-                assert pivot.real >= 0.0
-
-    def test_phase_pivot_ties_go_to_first_entry(self):
-        # Fourier-basis eigenvectors have entries of equal modulus, which
-        # the solver returns only equal to rounding.
-        for n in (3, 4, 5, 8):
-            f = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n)
-            eig = eigen_hermitian(f @ np.diag(np.linspace(0.1, 0.9, n)) @ dagger(f))
-            assert np.max(np.abs(eig.vectors[0] - 1 / np.sqrt(n))) < 1e-12
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -175,8 +170,8 @@ class TestOrderAndKernel:
         assert kernel_basis(np.eye(3)).shape == (3, 0)
 
     def test_kernel_split_inside_a_gauge_cluster(self):
-        # 0.5e-8 and 1.2e-8 are closer than CLUSTER_TOL, but only the first
-        # is below KERNEL_TOL
+        # 0.5e-8 and 1.2e-8 are closer than POST_EPS, but only the first
+        # is below it
         basis = kernel_basis(np.diag([0.5e-8, 1.2e-8]))
         assert np.max(np.abs(basis - [[1.0], [0.0]])) < 1e-12
         basis = kernel_basis(np.diag([2.0, 0.0, 0.0, 0.5e-8, 1.2e-8]))
@@ -202,6 +197,65 @@ class TestOrderAndKernel:
             loewner_leq(np.eye(2), np.eye(3))
 
 
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+class TestKernelGauge:
+    """Kernel columns depend on the kernel alone, not on the solver's basis."""
+
+    def test_hand_solved_2x2(self):
+        # eigenvalues 1/2 and 1/4 with eigenvectors (1, 1) and (1, -1)
+        a = np.array([[3.0, 1.0], [1.0, 3.0]]) / 8.0
+        s = 1 / np.sqrt(2)
+        assert np.allclose(kernel_basis(a - 0.5 * np.eye(2)), [[s], [s]], atol=1e-12)
+        assert np.allclose(kernel_basis(a - 0.25 * np.eye(2)), [[s], [-s]], atol=1e-12)
+
+    def test_phase_pivot_is_real_and_positive(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            a = random_hermitian(rng, 6)
+            for value in np.linalg.eigvalsh(a):
+                basis = kernel_basis(a - value * np.eye(6))
+                assert basis.shape == (6, 1)
+                pivot = basis[int(np.argmax(np.abs(basis[:, 0]))), 0]
+                assert pivot.imag == pytest.approx(0.0, abs=1e-12)
+                assert pivot.real >= 0.0
+
+    def test_phase_pivot_ties_go_to_first_entry(self):
+        # Fourier-basis eigenvectors have entries of equal modulus, which
+        # the solver returns only equal to rounding.
+        for n in (3, 4, 5, 8):
+            f = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n)
+            spectrum = np.linspace(0.1, 0.9, n)
+            a = f @ np.diag(spectrum) @ dagger(f)
+            for value in spectrum:
+                basis = kernel_basis(a - value * np.eye(n))
+                assert np.max(np.abs(basis[0] - 1 / np.sqrt(n))) < 1e-12
+
+    def test_rotated_degenerate_kernel_gives_the_same_columns(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        solve = linalg.eigen_hermitian
+        for n, k in ((3, 2), (5, 3), (6, 4)):
+            u = random_unitary(rng, n)
+            spectrum = np.concatenate([rng.uniform(0.5, 2.0, n - k), np.zeros(k)])
+            a = u @ np.diag(spectrum) @ dagger(u)
+            expected = kernel_basis(a)
+            assert expected.shape == (n, k)
+            w = random_unitary(rng, k)
+
+            def rotated(m):
+                values, vectors = solve(m)
+                vectors = vectors.copy()
+                vectors[:, n - k:] = vectors[:, n - k:] @ w
+                return HermitianEigen(values, vectors)
+
+            monkeypatch.setattr(linalg, "eigen_hermitian", rotated)
+            assert np.max(np.abs(kernel_basis(a) - expected)) < 1e-12
+            monkeypatch.undo()
+
+
 class TestMatrixLiterals:
     def test_complex_tokens(self):
         assert parse_complex("1.5") == 1.5
@@ -225,11 +279,21 @@ class TestMatrixLiterals:
         back = parse_matrix(format_matrix(a, sig=17))
         assert np.max(np.abs(back - a)) < 1e-15
 
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_matrix("2 2\n1+0i 0+0i")
-        with pytest.raises(ValueError):
-            parse_matrix("2\n1 2")
+    @pytest.mark.parametrize("text,message", [
+        ("2 2\n1+0i 0+0i", "expected 2 rows, found 1"),
+        ("2\n1 2", "matrix literal must start with 'rows cols'"),
+        ("1 2\n1", "row 0 has 1 entries, expected 2"),
+        ("2 0\n1", "expected 2 rows, found 1"),
+        # the header holds two non-negative integer literals
+        ("-1 0", "matrix dimensions must be non-negative"),
+        ("2.0 1\n1\n1", "matrix size must be two integers 'rows cols', got '2.0 1'"),
+        ("1 1e0\n1", "matrix size must be two integers 'rows cols', got '1 1e0'"),
+        ("1_0 1", "matrix size must be two integers 'rows cols', got '1_0 1'"),
+    ])
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_matrix(text)
+        assert str(err.value) == message
 
     def test_no_columns(self):
         # the blank rows of an n x 0 matrix may be written out or left out
@@ -238,8 +302,6 @@ class TestMatrixLiterals:
             assert parse_matrix(text).shape == (2, 0)
         with pytest.raises(ValueError, match="expected 2 rows, found 1"):
             parse_matrix("2 0\n1")
-        with pytest.raises(ValueError, match="expected -1 rows, found 0"):
-            parse_matrix("-1 0")
 
 
 # -- the text layer against entry-wise references -----------------------------

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effectlogic import config, quantum
-from effectlogic.linalg import dagger, hermitian_part
+from effectlogic.linalg import dagger, hermitian_part, sqrt_psd
 from effectlogic.quantum import (
     KET0,
     KET1,
@@ -116,6 +116,29 @@ class TestToleranceContract:
         eff = Effect(np.array([[0.5, 0.1 + 5e-7], [0.1, 0.5]]))
         assert eff.dim == 2
 
+    def test_set_epsilon_reaches_spectral_checks(self, restore_config):
+        dust = np.diag([-5e-7, 0.5])
+        with pytest.raises(ValueError, match="leaves"):
+            Effect(dust)
+        config.set_epsilon(1e-6)
+        assert Effect(dust).dim == 2
+        assert DensityMatrix(np.diag([-5e-7, 1.0 + 5e-7])).dim == 2
+
+    def test_isometry_normalisation_is_structural(self):
+        # V*V = (1 + 8e-9) I deviates by more than EPS in the Frobenius norm
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            Isometry((1 + 4e-9) * np.eye(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_admitted_isometry_substitutes_truth(self, n):
+        # V*V - I has off-diagonal entries of Frobenius norm 0.9 EPS: admitted,
+        # and its spectral deviation is no larger
+        delta = np.zeros((n, n))
+        delta[0, 1] = delta[1, 0] = 0.9 * config.EPS / np.sqrt(2)
+        f = Isometry(sqrt_psd(np.eye(n) + delta))
+        pulled = substitute(f, truth(n))
+        assert np.max(np.abs(pulled.first.matrix - np.eye(n))) < config.EPS
+
     def test_set_epsilon_reaches_projective_compose(self, restore_config):
         first = np.diag([1.0 - 5e-6, 0.0])
         family = [first, np.eye(2) - first]
@@ -180,6 +203,15 @@ class TestSolverCounts:
         assert solver_calls == {"eigh": 1, "eigvalsh": before}
         assert np.max(np.abs(stacked[:3] @ stacked[:3] - p.first.matrix)) < 1e-12
         assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.second.matrix)) < 1e-12
+
+    def test_substitute_conjugates_once(self, solver_calls):
+        p = QPredicate.from_effect(self.M)
+        f = random_isometry(rng(), 3, 2)
+        before = dict(solver_calls)
+        pulled = substitute(f, p)
+        assert solver_calls == {"eigh": before["eigh"], "eigvalsh": before["eigvalsh"] + 1}
+        v = f.matrix
+        assert np.array_equal(pulled.first.matrix, dagger(v) @ p.first.matrix @ v)
 
     def test_perp_swaps_without_solving(self, solver_calls):
         p = QPredicate.from_effect(self.M)
@@ -443,7 +475,7 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("near", [1e-9, 0.5e-9, 1.0 - 1e-9, 1.0 - 0.5e-9])
     def test_no_mass_lost_near_sharp_eigenvalues(self, near):
-        # one square root drops an eigenvalue within PSD_TOL of 0 or 1;
+        # one square root drops an eigenvalue within EPS of 0 or 1;
         # the other must then take the whole mass of that eigenvector
         p = QPredicate.from_effect(Effect(np.diag([near, 0.3])))
         out = measure_density(p, DensityMatrix(np.diag([1.0, 0.0])))

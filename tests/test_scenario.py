@@ -439,15 +439,31 @@ class TestCommandLine:
             "instance stochastic\nlet c = carrier(a, b)\nlet d = dist(c, 0.5, 0.45)\n"
             "query measure(fuzzy(c, 1, 0), d)\n"
         )
-        default_eps = config.EPS
+        saved = config.EPS, config.POST_EPS
         try:
             assert cli.main(["run", str(path)]) == 2  # rejected at the default tolerance
             capsys.readouterr()
             assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
             capsys.readouterr()
         finally:
-            config.EPS = default_eps
-            config.POST_EPS = 1e-8
+            config.EPS, config.POST_EPS = saved
+
+    def test_eps_override_reaches_spectral_checks(self, tmp_path, capsys):
+        from effectlogic import config
+
+        path = tmp_path / "dust.scn"
+        path.write_text(
+            "instance quantum\nlet m = matrix 2 2\n-5e-7 0\n0 0.5\nlet e = effect(m)\n"
+            "query born(ket0, e)\n"
+        )
+        saved = config.EPS, config.POST_EPS
+        try:
+            assert cli.main(["run", str(path)]) == 2  # eigenvalue -5e-7 < -1e-9
+            capsys.readouterr()
+            assert cli.main(["run", str(path), "--eps", "1e-6"]) == 0
+            assert capsys.readouterr().out == "0: born = 0.000000000\n"
+        finally:
+            config.EPS, config.POST_EPS = saved
 
     def test_shipped_scenarios_run_clean(self, capsys):
         from pathlib import Path
@@ -566,11 +582,44 @@ PARSE_ERRORS = [
     (STOCHASTIC_HEAD, 'let q = (0.5, 0.5)\n', (5, 9, "expected a name or number, found '('")),
     (STOCHASTIC_HEAD, 'let q(0.5, 0.5)\n', (5, 6, "expected '=' after the name")),
     (STOCHASTIC_HEAD, 'let K = matrix(2, 2)\n', (5, 1, "matrix literal needs 'matrix ROWS COLS'")),
+    (STOCHASTIC_HEAD, 'let K = matrix 2.7 1.9\n', (5, 1, "matrix size must be two integers 'rows cols', got '2.7 1.9'")),
+    (STOCHASTIC_HEAD, 'let K = matrix 1 1e0\n', (5, 1, "matrix size must be two integers 'rows cols', got '1 1e0'")),
+    (STOCHASTIC_HEAD, 'let K = matrix -1 2\n', (5, 1, 'matrix dimensions must be non-negative')),
+    (STOCHASTIC_HEAD, 'let K = matrix 2 1\n1\n', (5, 1, 'matrix literal ends early')),
     (CLASSICAL_HEAD, 'let s = subset(X, 1, 2, a)\n', (3, 9, 'argument 2 of subset must be a label')),
     (CLASSICAL_HEAD, 'let s = subset(X, a, 1, 2)\n', (3, 9, 'argument 3 of subset must be a label')),
     (CLASSICAL_HEAD, 'query states(1, 2)\n', (3, 7, 'states takes 1 arguments, got 2')),
     (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, 1, 2))\n', (3, 29, 'argument 2 of elem must be a label')),
 ]
+
+
+class TestSolverRouting:
+    def test_every_eigh_goes_through_eigen_hermitian(self, monkeypatch):
+        # rebind every module-level name of eigen_hermitian, as a tracer
+        # does, and count its calls against LAPACK's
+        import effectlogic
+
+        calls = {"eigen": 0, "eigh": 0}
+        solve, eigh = linalg.eigen_hermitian, np.linalg.eigh
+
+        def counted_eigen(a):
+            calls["eigen"] += 1
+            return solve(a)
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        for module in (effectlogic, linalg, quantum, stochastic, classical, scenario, cli):
+            for name, obj in list(vars(module).items()):
+                if obj is solve:
+                    monkeypatch.setattr(module, name, counted_eigen)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        assert run(parse_scenario(TEXT_LAYER_SCENARIO)) == (TEXT_LAYER_REPORT, True)
+        _, ok = cli.selftest(seed=3, cases=5)
+        assert ok
+        assert calls["eigh"] > 0
+        assert calls["eigen"] == calls["eigh"]
 
 
 class TestTextLayer:
