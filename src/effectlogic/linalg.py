@@ -155,9 +155,9 @@ def _kernel_gauge(block: np.ndarray) -> np.ndarray:
     """Rebuild orthonormal columns from the subspace they span.
 
     Gram-Schmidt over the columns ``P e_i`` of the projector ``P``, the
-    largest residual first (ties within ``POST_EPS`` go to the lowest
-    index); then each column is scaled so that its first entry within
-    ``POST_EPS`` of its largest modulus is real and positive.
+    largest residual first; then each column is scaled so that its first
+    entry of largest modulus is real and positive.  Both choices take the
+    lowest index among the near-ties of ``_first_near_max``.
     """
     k = block.shape[1]
     if k > 1:
@@ -165,14 +165,19 @@ def _kernel_gauge(block: np.ndarray) -> np.ndarray:
         block = np.empty_like(block)
         for j in range(k):
             norms = np.linalg.norm(residual, axis=0)
-            pivot = int(np.argmax(norms >= norms.max() - config.POST_EPS))
+            pivot = int(_first_near_max(norms))
             q = residual[:, pivot] / norms[pivot]
             residual = residual - np.outer(q, q.conj() @ residual)
             block[:, j] = q
-    moduli = np.abs(block)
-    rows = np.argmax(moduli >= moduli.max(axis=0) - config.POST_EPS, axis=0)
-    pivots = block[rows, np.arange(k)]
+    pivots = block[_first_near_max(np.abs(block)), np.arange(k)]
     return block * (pivots.conj() / np.abs(pivots))
+
+
+def _first_near_max(values: np.ndarray) -> np.ndarray:
+    # the first index on axis 0 within POST_EPS of the maximum, and never within
+    # half of it: a large --eps cannot make a zero entry or residual a pivot
+    top = values.max(axis=0)
+    return np.argmax(values >= top - np.minimum(config.POST_EPS, 0.5 * top), axis=0)
 
 
 # ---------------------------------------------------------------------------

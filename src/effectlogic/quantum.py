@@ -170,8 +170,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Isometry:
-    """A tall matrix V with V*V within ``EPS`` of the identity in the
-    Frobenius norm, so V*V <= (1 + EPS) I and conjugation keeps effects."""
+    """A tall matrix V with V*V within ``EPS`` of I in the Frobenius norm,
+    so conjugation keeps effects.  V is admitted within ``POST_EPS`` (a
+    9-digit print drifts up to 3e-9) and past ``EPS`` is replaced by its
+    polar factor V (V*V)^(-1/2), the nearest isometry."""
 
     matrix: np.ndarray
 
@@ -182,13 +184,13 @@ class Isometry:
             raise ValueError("isometry must have at least as many rows as columns")
         if cols:
             gram = dagger(m) @ m
-            if np.linalg.norm(gram - np.eye(cols)) > config.EPS:
+            deviation = np.linalg.norm(gram - np.eye(cols))
+            if not deviation <= config.POST_EPS:
                 raise ValueError("columns are not orthonormal")
+            if deviation > config.EPS:
+                values, vecs = eigen_hermitian(gram)
+                m = m @ (vecs / np.sqrt(values)) @ dagger(vecs)
         object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.shape[1]
 
     @property
     def target_dim(self) -> int:

@@ -255,6 +255,15 @@ class TestKernelGauge:
             assert np.max(np.abs(kernel_basis(a) - expected)) < 1e-12
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+    def test_large_tolerance_never_pivots_on_zero(self, eps, monkeypatch):
+        # --eps 0.1 makes POST_EPS 1, past every entry of a unit column: the
+        # tie band stays below half the maximum, so no zero entry or zero
+        # residual is ever a pivot
+        monkeypatch.setattr(linalg.config, "POST_EPS", max(10 * eps, 1e-8))
+        assert np.array_equal(kernel_basis(np.diag([5.0, 0.0])), [[0.0], [1.0]])
+        assert np.array_equal(kernel_basis(np.diag([5.0, 0.0, 0.0])), np.eye(3)[:, 1:])
+
 
 class TestMatrixLiterals:
     def test_complex_tokens(self):

@@ -124,17 +124,38 @@ class TestToleranceContract:
         assert Effect(dust).dim == 2
         assert DensityMatrix(np.diag([-5e-7, 1.0 + 5e-7])).dim == 2
 
-    def test_isometry_normalisation_is_structural(self):
-        # V*V = (1 + 8e-9) I deviates by more than EPS in the Frobenius norm
+    def test_isometry_admission_bound(self):
+        # V*V = (1 + 8e-9) I deviates by 1.1e-8 > POST_EPS in the Frobenius norm
         with pytest.raises(ValueError, match="columns are not orthonormal"):
             Isometry((1 + 4e-9) * np.eye(2))
+        with pytest.raises(ValueError, match="columns are not orthonormal"):
+            Isometry(np.full((2, 1), np.nan))
+
+    def test_isometry_past_eps_is_made_exact(self):
+        # V*V = (1 + 4e-9) I: admitted, and replaced by its polar factor I,
+        # so substituting truth stays an effect
+        f = Isometry((1 + 2e-9) * np.eye(2))
+        assert np.max(np.abs(f.matrix - np.eye(2))) < 1e-15
+        assert np.max(np.abs(substitute(f, truth(2)).first.matrix - np.eye(2))) < 1e-15
+
+    def test_isometry_within_eps_is_kept_as_given(self):
+        v = np.array([[1.0], [0.0]]) * (1 + 2e-10)
+        assert np.array_equal(Isometry(v).matrix, v)
+
+    def test_literal_isometry_to_eight_digits(self):
+        c = 0.70710678  # V*V - I has Frobenius norm 4.7e-9
+        f = Isometry(np.array([[c, c], [c, -c]]))
+        gram = dagger(f.matrix) @ f.matrix
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+        assert np.max(np.abs(substitute(f, truth(2)).first.matrix - np.eye(2))) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_every_admitted_isometry_substitutes_truth(self, n):
-        # V*V - I has off-diagonal entries of Frobenius norm 0.9 EPS: admitted,
-        # and its spectral deviation is no larger
+    @pytest.mark.parametrize("bound", ["EPS", "POST_EPS"])
+    def test_every_admitted_isometry_substitutes_truth(self, n, bound):
+        # V*V - I has off-diagonal entries of Frobenius norm 0.9 times the
+        # bound: admitted, and its spectral deviation is no larger
         delta = np.zeros((n, n))
-        delta[0, 1] = delta[1, 0] = 0.9 * config.EPS / np.sqrt(2)
+        delta[0, 1] = delta[1, 0] = 0.9 * getattr(config, bound) / np.sqrt(2)
         f = Isometry(sqrt_psd(np.eye(n) + delta))
         pulled = substitute(f, truth(n))
         assert np.max(np.abs(pulled.first.matrix - np.eye(n))) < config.EPS

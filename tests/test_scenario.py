@@ -465,6 +465,70 @@ class TestCommandLine:
         finally:
             config.EPS, config.POST_EPS = saved
 
+    def test_eps_override_keeps_the_kernel_gauge(self, tmp_path, capsys):
+        from effectlogic import config
+
+        path = tmp_path / "gauge.scn"
+        path.write_text(
+            "instance quantum\nlet m = matrix 2 2\n0 0\n0 1\n"
+            "query comprehension(predicate(m))\n"
+        )
+        saved = config.EPS, config.POST_EPS
+        try:
+            # POST_EPS is 1 here, past both entries of the kernel column
+            assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
+            assert capsys.readouterr().out == "0: comprehension = 2 1\n0+0i\n1+0i\n"
+        finally:
+            config.EPS, config.POST_EPS = saved
+
+    def test_eps_override_moves_the_square_root_snap(self, tmp_path, capsys):
+        from effectlogic import config
+
+        path = tmp_path / "snap.scn"
+        path.write_text(
+            "instance quantum\nlet m = matrix 2 2\n0.95 0\n0 0.05\n"
+            "query measure(predicate(m), ket0)\n"
+        )
+        saved = config.EPS, config.POST_EPS
+        try:
+            assert cli.main(["run", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == "0.974679434+0i"
+            # eigenvalues within EPS = 0.1 of 1 and 0 are read as 1 and 0
+            assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
+            assert capsys.readouterr().out == "0: measure = 4 1\n1+0i\n0+0i\n0+0i\n0+0i\n"
+        finally:
+            config.EPS, config.POST_EPS = saved
+
+    def test_comprehension_report_reads_back_as_an_isometry(self, tmp_path, capsys):
+        import numpy as np
+
+        from effectlogic.linalg import format_matrix, parse_matrix
+
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = u @ np.diag([1.0, 1.0, 1.0, 0.4]) @ u.conj().T
+        first = tmp_path / "first.scn"
+        first.write_text(
+            f"instance quantum\nlet a = matrix {format_matrix(a, 17)}\n"
+            "query comprehension(predicate(a))\n"
+        )
+        assert cli.main(["run", str(first)]) == 0
+        report = capsys.readouterr().out.split(" = ", 1)[1]
+        printed = parse_matrix(report)
+        # the 9-digit literal drifts past EPS, which Isometry still admits
+        assert np.linalg.norm(printed.conj().T @ printed - np.eye(3)) > 1e-9
+        second = tmp_path / "second.scn"
+        second.write_text(
+            f"instance quantum\nlet v = matrix {report}"
+            f"let a = matrix {format_matrix(a, 17)}\n"
+            "query substitute(isometry(v), predicate(a))\n"
+        )
+        assert cli.main(["run", str(second)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("0: substitute = 3 3\n")
+        pulled = parse_matrix(out.split(" = ", 1)[1])
+        assert np.max(np.abs(pulled - np.eye(3))) < 1e-8
+
     def test_shipped_scenarios_run_clean(self, capsys):
         from pathlib import Path
 
