@@ -5,7 +5,11 @@ is a single map C^n -> C^n (+) C^n once the doubled space is read as
 C^{2n} with the first n coordinates forming the left summand.  That
 coordinate convention is normative for every stacked matrix produced
 here.  The law [id, id] . p = id fixes the right part as I - A, so a
-predicate stores its left effect A alone.
+predicate stores its left effect A alone.  Every operation that takes or
+returns a predicate (sums, scalings, substitution, the tests "and then"
+and "then", Born probabilities, the state functional) works on
+``QPredicate``, as the other two instances work on theirs; ``Effect`` is
+the validated operator inside one.
 
 Each value is validated once, from its eigenvalues alone, and not at all
 when its bounds follow from bounds already checked: spec(I - A) is
@@ -229,40 +233,32 @@ def substitute(f: Isometry, q: QPredicate) -> QPredicate:
     """
     if f.target_dim != q.dim:
         raise ValueError("predicate dimension must match the isometry target")
-    return QPredicate(substitute_effect(f, q.first))
+    return QPredicate(Effect(dagger(f.matrix) @ q.first.matrix @ f.matrix))
 
 
-def substitute_effect(f: Isometry, a: Effect) -> Effect:
-    if f.target_dim != a.dim:
-        raise ValueError("effect dimension must match the isometry target")
-    return Effect(dagger(f.matrix) @ a.matrix @ f.matrix)
-
-
-def born_probability(x: PureState, p: QPredicate | Effect) -> float:
+def born_probability(x: PureState, p: QPredicate) -> float:
     """The probability of the predicate in a pure state, by substitution.
 
     This is the scalar case of ``substitute``: the state is a one-column
     isometry and conjugation lands in the 1x1 effects, i.e. [0, 1].
     """
-    a = p.first.matrix if isinstance(p, QPredicate) else p.matrix
-    if a.shape[0] != x.dim:
+    if p.dim != x.dim:
         raise ValueError("dimension mismatch")
-    val = complex(np.conj(x.vector) @ (a @ x.vector))
+    val = complex(np.conj(x.vector) @ (p.first.matrix @ x.vector))
     if abs(val.imag) > config.EPS:
         raise ValueError(f"probability has imaginary part {val.imag}")
     return min(max(val.real, 0.0), 1.0)
 
 
-def born_spectral(x: PureState, p: QPredicate | Effect) -> float:
+def born_spectral(x: PureState, p: QPredicate) -> float:
     """The same probability through the spectral decomposition.
 
     Independent route for cross-checking: eigenvalues weight the squared
     overlaps with the solver's own eigenvectors, which need no gauge.
     """
-    a = p.first.matrix if isinstance(p, QPredicate) else p.matrix
-    if a.shape[0] != x.dim:
+    if p.dim != x.dim:
         raise ValueError("dimension mismatch")
-    values, vectors = eigen_hermitian(a)
+    values, vectors = eigen_hermitian(p.first.matrix)
     overlaps = np.abs(dagger(vectors) @ x.vector) ** 2
     return float(np.real(np.sum(values * overlaps)))
 
@@ -289,21 +285,21 @@ def omega_predicate(n: int) -> QPredicate:
     return QPredicate.from_effect(Effect(first))
 
 
-def test_andthen(a: Effect, b: Effect) -> Effect:
-    """Sequential test: sqrt(a) b sqrt(a)."""
-    if a.dim != b.dim:
+def test_andthen(p: QPredicate, q: QPredicate) -> QPredicate:
+    """Sequential test "p and then q": the left part sqrt(A) B sqrt(A)."""
+    if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    r = sqrt_psd(a.matrix)
-    return Effect(hermitian_part(r @ b.matrix @ r))
+    r = sqrt_psd(p.first.matrix)
+    return QPredicate(Effect(hermitian_part(r @ q.first.matrix @ r)))
 
 
-def test_then(a: Effect, b: Effect) -> Effect:
-    """Guarded test: sqrt(a) b sqrt(a) + (1 - a)."""
-    if a.dim != b.dim:
+def test_then(p: QPredicate, q: QPredicate) -> QPredicate:
+    """Guarded test "if p then q": the left part sqrt(A) B sqrt(A) + (I - A)."""
+    if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    r = sqrt_psd(a.matrix)
-    out = r @ b.matrix @ r + np.eye(a.dim) - a.matrix
-    return Effect(hermitian_part(out))
+    r = sqrt_psd(p.first.matrix)
+    out = r @ q.first.matrix @ r + np.eye(p.dim) - p.first.matrix
+    return QPredicate(Effect(hermitian_part(out)))
 
 
 def measure_pure(p: QPredicate, x: PureState) -> PureState:
@@ -330,13 +326,14 @@ def measure_density(p: QPredicate, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(v @ rho.matrix @ dagger(v))
 
 
-def xi_state(rho: DensityMatrix) -> Callable[[Effect], float]:
-    """The predicate-transformer view of a density matrix: A -> tr(rho A)."""
+def xi_state(rho: DensityMatrix) -> Callable[[QPredicate], float]:
+    """The predicate-transformer view of a density matrix: p -> tr(rho A),
+    with A the left part of p."""
 
-    def functional(a: Effect) -> float:
-        if a.dim != rho.dim:
+    def functional(p: QPredicate) -> float:
+        if p.dim != rho.dim:
             raise ValueError("dimension mismatch")
-        val = trace(rho.matrix @ a.matrix)
+        val = trace(rho.matrix @ p.first.matrix)
         if abs(val.imag) > config.POST_EPS:
             raise ValueError("trace pairing has a nonreal value")
         return min(max(val.real, 0.0), 1.0)

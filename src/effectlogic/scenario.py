@@ -17,10 +17,10 @@ are evaluated at load time so that invariant violations are reported with
 their line number.
 
 Each instance is a static table of built-ins, constructors and query
-operations (see ``OPERATIONS``).  The predicate positions of a quantum
-query take an effect as well as a predicate, since an effect is the left
-part of the predicate it determines; so the result of ``andthen`` or
-``then`` feeds every query, as in the other two instances.
+operations (see ``OPERATIONS``).  In the quantum instance ``effect(M)``,
+``predicate(M)`` and ``projector(state)`` all build the same predicate,
+and ``andthen`` and ``then`` return one, so a test result feeds every
+query, as in the other two instances.
 
 Reports are deterministic: one line per query, reals printed to a fixed
 number of decimals, matrices in the shared literal format.
@@ -282,9 +282,10 @@ def parse_scenario(text: str) -> Scenario:
             if nxt and nxt[0] == "name" and nxt[1] == "precision":
                 parser.take()
                 tok = parser.take()
-                if tok[0] != "num" or float(tok[1]) != int(float(tok[1])):
+                # the integer-literal rule of a matrix header
+                if tok[0] != "num" or not linalg._INT_RE.fullmatch(tok[1]):
                     raise ScenarioError("precision must be an integer", lineno, tok[2])
-                precision = int(float(tok[1]))
+                precision = int(tok[1])
                 if not 0 <= precision <= 17:
                     raise ScenarioError("precision must be between 0 and 17", lineno, tok[2])
             parser.finish()
@@ -396,8 +397,8 @@ class _Evaluator:
         value = self.evaluate(expr.args[0]) if expr.args else None
         if isinstance(value, np.ndarray):
             return value
-        if isinstance(value, Effect):
-            return value.matrix
+        if isinstance(value, QPredicate):
+            return value.first.matrix
         raise QueryError(f"argument 1 of {expr.fn} must be a matrix")
 
 
@@ -439,6 +440,10 @@ def _make_stochmap(ev: _Evaluator, expr: CallExpr) -> StochasticMap:
     if len(entries) != src.size * tgt.size:
         raise QueryError(f"stochmap needs {src.size * tgt.size} entries, got {len(entries)}")
     return StochasticMap(src, tgt, np.array(entries).reshape(src.size, tgt.size))
+
+
+def _make_predicate(ev: _Evaluator, expr: CallExpr) -> QPredicate:
+    return QPredicate(Effect(ev.matrix(expr)))
 
 
 # -- the three instances ------------------------------------------------------
@@ -489,25 +494,16 @@ CONSTRUCTORS: dict[str, dict[str, Callable]] = {
     "quantum": {
         **_ALGEBRAS,
         "ket": lambda ev, e: PureState(np.array(ev.numbers(e, 0), dtype=np.complex128)),
-        "effect": lambda ev, e: Effect(ev.matrix(e)),
-        "predicate": lambda ev, e: QPredicate.from_effect(Effect(ev.matrix(e))),
-        "projector": lambda ev, e: quantum.projector(ev.arg(e, 0, PureState, "a state")),
+        "effect": _make_predicate,
+        "predicate": _make_predicate,
+        "projector": lambda ev, e: QPredicate(
+            quantum.projector(ev.arg(e, 0, PureState, "a state"))),
         "density": lambda ev, e: DensityMatrix(ev.matrix(e)),
         "isometry": lambda ev, e: Isometry(ev.matrix(e)),
     },
 }
 
 _REAL = (float, int)
-# a quantum predicate position takes an effect as the predicate whose left part it is
-_QPRED = (QPredicate, Effect)
-
-
-def _predicate(p: QPredicate | Effect) -> QPredicate:
-    return p if isinstance(p, QPredicate) else QPredicate(p)
-
-
-def _left(p: QPredicate | Effect) -> Effect:
-    return p.first if isinstance(p, QPredicate) else p
 
 
 def _classical_measure(p: BoolPredicate, x: Element):
@@ -516,16 +512,10 @@ def _classical_measure(p: BoolPredicate, x: Element):
     return ("tagged", p.carrier, classical.measure(p, x.index))
 
 
-def _quantum_measure(p: QPredicate | Effect, state: PureState | DensityMatrix):
+def _quantum_measure(p: QPredicate, state: PureState | DensityMatrix):
     if isinstance(state, PureState):
-        return quantum.measure_pure(_predicate(p), state)
-    return quantum.measure_density(_predicate(p), state)
-
-
-def _quantum_substitute(f: Isometry, q: QPredicate | Effect):
-    if isinstance(q, QPredicate):
-        return quantum.substitute(f, q)
-    return quantum.substitute_effect(f, q)
+        return quantum.measure_pure(p, state)
+    return quantum.measure_density(p, state)
 
 
 def _states(n: float) -> int:
@@ -568,16 +558,14 @@ OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
         "axioms": ((FiniteEffectAlgebra,), _axioms),
     },
     "quantum": {
-        "born": ((PureState, _QPRED), lambda x, p: quantum.born_probability(x, p)),
-        "substitute": ((Isometry, _QPRED), _quantum_substitute),
-        "andthen": ((_QPRED, _QPRED), lambda p, q: quantum.test_andthen(_left(p), _left(q))),
-        "then": ((_QPRED, _QPRED), lambda p, q: quantum.test_then(_left(p), _left(q))),
-        "orthosum": ((_QPRED, _QPRED),
-                     lambda p, q: quantum.orthosum(_predicate(p), _predicate(q))),
-        "multiply": ((_REAL, _QPRED),
-                     lambda s, p: quantum.probability_multiply(float(s), _predicate(p))),
-        "measure": ((_QPRED, (PureState, DensityMatrix)), _quantum_measure),
-        "comprehension": ((_QPRED,), lambda p: quantum.comprehension(_predicate(p))),
+        "born": ((PureState, QPredicate), lambda x, p: quantum.born_probability(x, p)),
+        "substitute": ((Isometry, QPredicate), lambda f, q: quantum.substitute(f, q)),
+        "andthen": ((QPredicate, QPredicate), lambda p, q: quantum.test_andthen(p, q)),
+        "then": ((QPredicate, QPredicate), lambda p, q: quantum.test_then(p, q)),
+        "orthosum": ((QPredicate, QPredicate), lambda p, q: quantum.orthosum(p, q)),
+        "multiply": ((_REAL, QPredicate), lambda s, p: quantum.probability_multiply(float(s), p)),
+        "measure": ((QPredicate, (PureState, DensityMatrix)), _quantum_measure),
+        "comprehension": ((QPredicate,), lambda p: quantum.comprehension(p)),
         "axioms": ((FiniteEffectAlgebra,), _axioms),
     },
 }
@@ -633,8 +621,6 @@ def format_value(value, prec: int) -> str:
         return report.describe(algebra)
     if isinstance(value, PureState):
         return linalg.format_matrix(value.vector.reshape(-1, 1), prec)
-    if isinstance(value, Effect):
-        return linalg.format_matrix(value.matrix, prec)
     if isinstance(value, QPredicate):
         return linalg.format_matrix(value.first.matrix, prec)
     if isinstance(value, (DensityMatrix, Isometry)):

@@ -44,7 +44,6 @@ from effectlogic.quantum import (
     random_predicate,
     random_pure_state,
     substitute,
-    substitute_effect,
     xi_state,
 )
 
@@ -221,9 +220,9 @@ def test_criterion_06_measurement_consistency():
         n = int(rng.integers(1, 4))
         p = random_predicate(rng, n)
         rho = random_density(rng, n)
-        a = quantum.random_effect(rng, 2 * n)
+        a = random_predicate(rng, 2 * n)
         lhs = xi_state(measure_density(p, rho))(a)
-        rhs = xi_state(rho)(substitute_effect(char_sqrt(p), a))
+        rhs = xi_state(rho)(substitute(char_sqrt(p), a))
         assert abs(lhs - rhs) < 1e-8
     announce(6, "measurement consistency")
 

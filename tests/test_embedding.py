@@ -70,9 +70,10 @@ def test_multiply_commutes(pair, s):
 @given(fuzzy_pair())
 def test_sequential_tests_commute(pair):
     p, q = pair
-    a, b = embed(p).first, embed(q).first
-    assert_diagonal(quantum.test_andthen(a, b).matrix, stochastic.test_andthen(p, q).values)
-    assert_diagonal(quantum.test_then(a, b).matrix, stochastic.test_then(p, q).values)
+    a, b = embed(p), embed(q)
+    assert_diagonal(quantum.test_andthen(a, b).first.matrix,
+                    stochastic.test_andthen(p, q).values)
+    assert_diagonal(quantum.test_then(a, b).first.matrix, stochastic.test_then(p, q).values)
 
 
 @settings(max_examples=200, deadline=None)

@@ -44,7 +44,6 @@ from effectlogic.quantum import (
     random_predicate,
     random_pure_state,
     substitute,
-    substitute_effect,
     truth,
     xi_state,
 )
@@ -373,10 +372,10 @@ class TestBornProbability:
     def test_two_routes_agree_inside_a_gauge_cluster(self, small):
         # the eigenvalues share one gauge cluster; the spectral route must
         # still weight each by the overlap with its own eigenvector
-        effect = Effect(np.diag(small))
+        p = QPredicate(Effect(np.diag(small)))
         for k in range(len(small)):
             x = PureState(np.eye(len(small))[k])
-            assert abs(born_spectral(x, effect) - born_probability(x, effect)) < 1e-15
+            assert abs(born_spectral(x, p) - born_probability(x, p)) < 1e-15
 
 
 class TestClassifier:
@@ -430,22 +429,22 @@ class TestOmega:
 class TestDynamicTests:
     def test_truth_is_unit(self):
         r = rng()
-        b = quantum.random_effect(r, 3)
-        ident = Effect(np.eye(3))
-        assert np.max(np.abs(andthen_op(ident, b).matrix - b.matrix)) < 1e-12
-        assert np.max(np.abs(then_op(ident, b).matrix - b.matrix)) < 1e-12
+        b = random_predicate(r, 3)
+        ident = truth(3)
+        assert np.max(np.abs(andthen_op(ident, b).first.matrix - b.first.matrix)) < 1e-12
+        assert np.max(np.abs(then_op(ident, b).first.matrix - b.first.matrix)) < 1e-12
 
     def test_filter_composition_quarter(self):
-        diagonal = proj(KET_NE)
-        vertical = proj(KET1)
+        diagonal = QPredicate(proj(KET_NE))
+        vertical = QPredicate(proj(KET1))
         seq = andthen_op(diagonal, vertical)
-        assert np.allclose(seq.matrix, np.full((2, 2), 0.25))
+        assert np.allclose(seq.first.matrix, np.full((2, 2), 0.25))
 
     def test_noncommutative(self):
-        a = proj(KET0)
-        b = proj(KET_NE)
-        ab = andthen_op(a, b).matrix
-        ba = andthen_op(b, a).matrix
+        a = QPredicate(proj(KET0))
+        b = QPredicate(proj(KET_NE))
+        ab = andthen_op(a, b).first.matrix
+        ba = andthen_op(b, a).first.matrix
         assert np.max(np.abs(ab - ba)) > 0.1
 
 
@@ -519,10 +518,10 @@ class TestMeasurement:
             out = measure_density(p, rho).matrix
             pairing = xi_state(rho)
             assert np.trace(out[:n, :n]).real == pytest.approx(
-                pairing(p.first), abs=config.POST_EPS
+                pairing(p), abs=config.POST_EPS
             )
             assert np.trace(out[n:, n:]).real == pytest.approx(
-                pairing(p.second), abs=config.POST_EPS
+                pairing(p.perp()), abs=config.POST_EPS
             )
 
     def test_duality_square(self):
@@ -531,24 +530,25 @@ class TestMeasurement:
             n = int(r.integers(1, 4))
             p = random_predicate(r, n)
             rho = random_density(r, n)
-            a = quantum.random_effect(r, 2 * n)
+            a = random_predicate(r, 2 * n)
             lhs = xi_state(measure_density(p, rho))(a)
-            rhs = xi_state(rho)(substitute_effect(char_sqrt(p), a))
+            rhs = xi_state(rho)(substitute(char_sqrt(p), a))
             assert abs(lhs - rhs) < config.POST_EPS
 
 
 class TestStateFunctional:
     def test_point_values(self):
         rho = DensityMatrix.from_pure(PureState(KET0))
-        assert xi_state(rho)(proj(KET0)) == pytest.approx(1.0)
-        assert xi_state(DensityMatrix(np.eye(2) / 2))(proj(KET0)) == pytest.approx(0.5)
+        up = QPredicate(proj(KET0))
+        assert xi_state(rho)(up) == pytest.approx(1.0)
+        assert xi_state(DensityMatrix(np.eye(2) / 2))(up) == pytest.approx(0.5)
 
     def test_normalised_on_identity(self):
         r = rng()
         for _ in range(20):
             n = int(r.integers(1, 6))
             rho = random_density(r, n)
-            assert xi_state(rho)(Effect(np.eye(n))) == pytest.approx(1.0)
+            assert xi_state(rho)(truth(n)) == pytest.approx(1.0)
 
 
 class TestProjectiveComposition:

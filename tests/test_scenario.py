@@ -139,6 +139,12 @@ class TestRunning:
     def test_bad_precision_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario("instance classical\nquery states(1) precision x\n")
+        # precision is an integer literal, as a matrix header's sizes are
+        for literal in ("1e1", "3.0"):
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(f"instance classical\nquery states(1) precision {literal}\n")
+            assert (err.value.line, err.value.col, err.value.message) == (
+                2, 27, "precision must be an integer")
 
     def test_query_error_is_inline_and_run_continues(self):
         text = (
@@ -171,6 +177,26 @@ class TestRunning:
             "0: multiply = [0.250000000, 0.250000000]",
             "1: born = error: line 6: born is not a stochastic query",
             "2: measure = error: line 7: measure expects (FuzzyPredicate, Distribution)",
+        ]
+        # every quantum predicate position, and every matrix position, takes a QPredicate
+        out, ok = run(parse_scenario(
+            "instance quantum\n"
+            "let M3 = matrix 3 3\n0.5 0 0\n0 0.5 0\n0 0 0.5\n"
+            "let e = effect(M3)\n"
+            "let p = predicate(projector(ketNE))\n"
+            "query substitute(isometry(hadamard), effect(M3))\n"
+            "query andthen(e, ket0)\n"
+            "query measure(p, density(predicate(projector(ket0))))\n"
+        ))
+        assert not ok
+        assert out.splitlines() == [
+            "0: substitute = error: line 8: predicate dimension must match the isometry target",
+            "1: andthen = error: line 9: andthen expects (QPredicate, QPredicate)",
+            "2: measure = 4 4",
+            "0.25+0i 0.25+0i 0.25+0i -0.25+0i",
+            "0.25+0i 0.25+0i 0.25+0i -0.25+0i",
+            "0.25+0i 0.25+0i 0.25+0i -0.25+0i",
+            "-0.25+0i -0.25+0i -0.25+0i 0.25+0i",
         ]
 
     def test_oversized_algebras_are_refused(self):
@@ -237,20 +263,13 @@ class TestUniformPredicates:
         ))
         p, q, r = (QPredicate.from_effect(a) for a in (m, n, k))
         ket0 = PureState(quantum.KET0)
-
-        def andthen(a, b):
-            return QPredicate(quantum.test_andthen(a.first, b.first))
-
-        def then(a, b):
-            return QPredicate(quantum.test_then(a.first, b.first))
-
         assert ok
         assert out == report(
-            ("orthosum", quantum.orthosum(andthen(p, q), r)),
-            ("measure", quantum.measure_pure(then(p, q), ket0)),
-            ("comprehension", quantum.comprehension(andthen(p, p))),
+            ("orthosum", quantum.orthosum(quantum.test_andthen(p, q), r)),
+            ("measure", quantum.measure_pure(quantum.test_then(p, q), ket0)),
+            ("comprehension", quantum.comprehension(quantum.test_andthen(p, p))),
             ("measure", quantum.measure_pure(p, ket0)),
-            ("multiply", quantum.probability_multiply(0.5, then(q, p))),
+            ("multiply", quantum.probability_multiply(0.5, quantum.test_then(q, p))),
         )
         assert "2: comprehension = 2 1" in out.splitlines()
 
