@@ -199,12 +199,12 @@ def predicate_as_map(p: BoolPredicate) -> FinMap:
 def predicate_algebra(carrier: FinSet) -> FiniteEffectAlgebra:
     """Export all subsets of the carrier, with the partial union, as tables.
 
-    Element ids are membership bitmasks.  The tables are produced through
-    ``orthosum`` and ``complement`` so that the exported algebra reflects
-    exactly the operations of this module.
+    Element ids are membership bitmasks.  The tables come from 4^n calls of
+    ``orthosum`` (and ``complement``), so the algebra reflects exactly this
+    module's operations, and n is capped at ``MAX_POWERSET_POINTS``.
     """
     n = carrier.size
-    if n > 16:
+    if n > ea_mod.MAX_POWERSET_POINTS:
         raise ValueError("carrier too large to export exhaustively")
 
     def to_bits(p: BoolPredicate) -> int:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
-from . import classical, config, effect_algebra, quantum, scenario, stochastic
+from . import classical, config, effect_algebra, instances, scenario
 
 POLARISATION_SCENARIO = """\
 # Photons polarised straight up meet one or two filters.
@@ -75,65 +76,34 @@ def _selftest_effect_algebra(rng: np.random.Generator, cases: int) -> int:
     return checks
 
 
-def _selftest_classical(rng: np.random.Generator, cases: int) -> int:
-    checks = 0
+def _selftest_laws(record: instances.Instance, rng: np.random.Generator, cases: int) -> int:
+    """char_p*(Omega) = p, p + p' = 1 and then(p, q) = (andthen(p, q'))'; where
+    there are pure states, the two routes of the probability rule agree."""
+    m, checks = record.module, 0
     for _ in range(cases):
-        n = int(rng.integers(1, 6))
-        c = classical.range_finset(n)
-        members = frozenset(int(i) for i in np.nonzero(rng.random(n) < 0.5)[0])
-        p = classical.BoolPredicate(c, members)
-        back = classical.substitute(
-            classical.predicate_as_map(p), classical.omega_predicate(c)
-        )
-        assert back == p
-        assert classical.orthosum(p, p.complement()) == classical.truth(c)
-        checks += 2
-    return checks
-
-
-def _selftest_stochastic(rng: np.random.Generator, cases: int) -> int:
-    checks = 0
-    for _ in range(cases):
-        n = int(rng.integers(1, 6))
-        c = classical.range_finset(n)
-        p = stochastic.FuzzyPredicate(c, rng.uniform(size=n))
-        q = stochastic.FuzzyPredicate(c, rng.uniform(size=n))
-        lhs = stochastic.test_then(p, q).values
-        rhs = 1.0 - stochastic.test_andthen(p, q.complement()).values
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-        omega = stochastic.omega_predicate(c)
-        back = stochastic.substitute(stochastic.predicate_as_map(p), omega)
-        assert np.max(np.abs(back.values - p.values)) < config.POST_EPS
-        checks += 2
-    return checks
-
-
-def _selftest_quantum(rng: np.random.Generator, cases: int) -> int:
-    checks = 0
-    for _ in range(cases):
-        n = int(rng.integers(1, 5))
-        p = quantum.random_predicate(rng, n)
-        x = quantum.random_pure_state(rng, n)
-        direct = quantum.born_probability(x, p)
-        spectral = quantum.born_spectral(x, p)
-        assert abs(direct - spectral) < config.POST_EPS
-        back = quantum.substitute(quantum.char_sqrt(p), quantum.omega_predicate(n))
-        assert np.max(np.abs(back.first.matrix - p.first.matrix)) < config.POST_EPS
-        checks += 2
+        space = record.space(int(rng.integers(1, 6)))
+        p, q = record.random_predicate(rng, space), record.random_predicate(rng, space)
+        back = m.substitute(record.classifier(p), m.omega_predicate(space))
+        assert record.close(back, p, config.POST_EPS)
+        assert record.close(m.orthosum(p, record.complement(p)), m.truth(space), config.POST_EPS)
+        via_andthen = record.complement(m.test_andthen(p, record.complement(q)))
+        assert record.close(m.test_then(p, q), via_andthen, 1e-12)
+        checks += 3
+        if hasattr(m, "born_spectral"):
+            x = m.random_pure_state(rng, space)
+            assert abs(m.born_probability(x, p) - m.born_spectral(x, p)) < config.POST_EPS
+            checks += 1
     return checks
 
 
 def selftest(seed: int = 0, cases: int = 50) -> tuple[str, bool]:
-    """Seeded randomized batches over the three instances."""
+    """Seeded randomized batches: effect-algebra constructions, instance laws."""
     rng = np.random.default_rng(seed)
     lines = []
     ok = True
-    for name, batch in (
-        ("effect-algebra", _selftest_effect_algebra),
-        ("classical", _selftest_classical),
-        ("stochastic", _selftest_stochastic),
-        ("quantum", _selftest_quantum),
-    ):
+    batches = [("effect-algebra", _selftest_effect_algebra)] + [
+        (name, partial(_selftest_laws, record)) for name, record in instances.INSTANCES.items()]
+    for name, batch in batches:
         try:
             checks = batch(rng, cases)
             lines.append(f"selftest {name}: ok ({checks} checks)")

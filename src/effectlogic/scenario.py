@@ -17,10 +17,10 @@ are evaluated at load time so that invariant violations are reported with
 their line number.
 
 Each instance is a static table of built-ins, constructors and query
-operations (see ``OPERATIONS``).  In the quantum instance ``effect(M)``,
-``predicate(M)`` and ``projector(state)`` all build the same predicate,
-and ``andthen`` and ``then`` return one, so a test result feeds every
-query, as in the other two instances.
+operations (``OPERATIONS``, whose shared rows come from its record in
+``instances``).  In the quantum instance ``effect(M)``, ``predicate(M)``
+and ``projector(state)`` all build the same predicate, and ``andthen`` and
+``then`` return one, so a test result feeds every query, as elsewhere.
 
 Reports are deterministic: one line per query, reals printed to a fixed
 number of decimals, matrices in the shared literal format.
@@ -34,13 +34,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import classical, effect_algebra, linalg, quantum, stochastic
+from . import classical, effect_algebra, instances, linalg, quantum, stochastic
 from .classical import BoolPredicate, FinMap, FinSet
 from .effect_algebra import FiniteEffectAlgebra
 from .quantum import DensityMatrix, Effect, Isometry, PureState, QPredicate
 from .stochastic import Distribution, FuzzyPredicate, StochasticMap
-
-INSTANCES = ("classical", "stochastic", "quantum")
 
 # Constructor argument positions read as bare labels instead of names.
 _LABEL_ARGS = {
@@ -230,7 +228,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(tokens) != 2 or tokens[1][0] != "name":
                 raise ScenarioError("expected 'instance NAME'", lineno, head[2])
             name = tokens[1][1]
-            if name not in INSTANCES:
+            if name not in instances.INSTANCES:
                 raise ScenarioError(f"unknown instance {name!r}", lineno, tokens[1][2])
             scenario = Scenario(name)
             evaluator = _Evaluator(scenario)
@@ -393,9 +391,9 @@ class _Evaluator:
             raise QueryError(f"argument {idx + 1} of {expr.fn} must be {what}")
         return value
 
-    def matrix(self, expr: CallExpr) -> np.ndarray:
+    def matrix(self, expr: CallExpr, keep=()) -> np.ndarray:
         value = self.evaluate(expr.args[0]) if expr.args else None
-        if isinstance(value, np.ndarray):
+        if isinstance(value, (np.ndarray, keep)):
             return value
         if isinstance(value, QPredicate):
             return value.first.matrix
@@ -443,7 +441,8 @@ def _make_stochmap(ev: _Evaluator, expr: CallExpr) -> StochasticMap:
 
 
 def _make_predicate(ev: _Evaluator, expr: CallExpr) -> QPredicate:
-    return QPredicate(Effect(ev.matrix(expr)))
+    value = ev.matrix(expr, keep=QPredicate)
+    return value if isinstance(value, QPredicate) else QPredicate(Effect(value))
 
 
 # -- the three instances ------------------------------------------------------
@@ -532,38 +531,38 @@ def _axioms(target: FiniteEffectAlgebra | FinSet):
     return ("report", target, effect_algebra.check_axioms(target))
 
 
+def _shared_rows(record: instances.Instance) -> dict[str, tuple[tuple, Callable]]:
+    """The queries every instance answers alike, each one closure over the module."""
+    m, pred = record.module, record.predicate
+    rows = {
+        "substitute": ((record.map, pred), lambda f, q: m.substitute(f, q)),
+        "andthen": ((pred, pred), lambda p, q: m.test_andthen(p, q)),
+        "then": ((pred, pred), lambda p, q: m.test_then(p, q)),
+        "orthosum": ((pred, pred), lambda p, q: m.orthosum(p, q)),
+    }
+    if hasattr(m, "probability_multiply"):
+        rows["multiply"] = ((_REAL, pred), lambda s, p: m.probability_multiply(float(s), p))
+    return rows
+
+
 OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
     "classical": {
-        "substitute": ((FinMap, BoolPredicate), lambda f, q: classical.substitute(f, q)),
-        "andthen": ((BoolPredicate, BoolPredicate), lambda p, q: classical.test_andthen(p, q)),
-        "then": ((BoolPredicate, BoolPredicate), lambda p, q: classical.test_then(p, q)),
-        "orthosum": ((BoolPredicate, BoolPredicate), lambda p, q: classical.orthosum(p, q)),
+        **_shared_rows(instances.INSTANCES["classical"]),
         "measure": ((BoolPredicate, Element), _classical_measure),
         "comprehension": ((BoolPredicate,), lambda p: classical.comprehension(p)[0]),
         "states": ((_REAL,), _states),
         "axioms": (((FiniteEffectAlgebra, FinSet),), _axioms),
     },
     "stochastic": {
-        "substitute": ((StochasticMap, FuzzyPredicate),
-                       lambda f, q: stochastic.substitute(f, q)),
-        "andthen": ((FuzzyPredicate, FuzzyPredicate),
-                    lambda p, q: stochastic.test_andthen(p, q)),
-        "then": ((FuzzyPredicate, FuzzyPredicate), lambda p, q: stochastic.test_then(p, q)),
-        "orthosum": ((FuzzyPredicate, FuzzyPredicate), lambda p, q: stochastic.orthosum(p, q)),
-        "multiply": ((_REAL, FuzzyPredicate),
-                     lambda s, p: stochastic.probability_multiply(float(s), p)),
+        **_shared_rows(instances.INSTANCES["stochastic"]),
         "measure": ((FuzzyPredicate, Distribution),
                     lambda p, m: stochastic.measure_distribution(p, m)),
         "comprehension": ((FuzzyPredicate,), lambda p: stochastic.comprehension(p)[0]),
         "axioms": ((FiniteEffectAlgebra,), _axioms),
     },
     "quantum": {
+        **_shared_rows(instances.INSTANCES["quantum"]),
         "born": ((PureState, QPredicate), lambda x, p: quantum.born_probability(x, p)),
-        "substitute": ((Isometry, QPredicate), lambda f, q: quantum.substitute(f, q)),
-        "andthen": ((QPredicate, QPredicate), lambda p, q: quantum.test_andthen(p, q)),
-        "then": ((QPredicate, QPredicate), lambda p, q: quantum.test_then(p, q)),
-        "orthosum": ((QPredicate, QPredicate), lambda p, q: quantum.orthosum(p, q)),
-        "multiply": ((_REAL, QPredicate), lambda s, p: quantum.probability_multiply(float(s), p)),
         "measure": ((QPredicate, (PureState, DensityMatrix)), _quantum_measure),
         "comprehension": ((QPredicate,), lambda p: quantum.comprehension(p)),
         "axioms": ((FiniteEffectAlgebra,), _axioms),

@@ -14,7 +14,6 @@ from effectlogic import cli, config, quantum
 from effectlogic import stochastic as sto
 from effectlogic.classical import (
     BoolPredicate,
-    FinMap,
     predicate_algebra,
     range_finset,
     rel_joint_monicity_counterexample,
@@ -29,15 +28,13 @@ from effectlogic.effect_algebra import (
     mo_free,
     product,
 )
+from effectlogic.instances import INSTANCES
 from effectlogic.quantum import (
     DensityMatrix,
     Effect,
-    Isometry,
     char_sqrt,
     measure_density,
     measure_pure,
-    omega_predicate,
-    probability_multiply,
     projective_compose,
     random_density,
     random_isometry,
@@ -45,6 +42,12 @@ from effectlogic.quantum import (
     random_pure_state,
     substitute,
     xi_state,
+)
+from test_shared_laws import (
+    check_characteristic_map,
+    check_orthocomplement,
+    check_partial_monoid,
+    check_substitution,
 )
 
 
@@ -93,19 +96,8 @@ def test_criterion_03_characteristic_map_law():
             assert cl.substitute(cl.predicate_as_map(p), omega) == p
 
     rng = np.random.default_rng(303)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        carrier = range_finset(n)
-        p = sto.FuzzyPredicate(carrier, rng.uniform(size=n))
-        back = sto.substitute(sto.predicate_as_map(p), sto.omega_predicate(carrier))
-        assert np.max(np.abs(back.values - p.values)) < 1e-8
-
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        p = random_predicate(rng, n)
-        back = substitute(char_sqrt(p), omega_predicate(n))
-        assert np.max(np.abs(back.first.matrix - p.first.matrix)) < 1e-8
-        assert np.max(np.abs(back.second.matrix - p.second.matrix)) < 1e-8
+    for name in INSTANCES:
+        check_characteristic_map(name, rng, 200, 1e-8)
     announce(3, "characteristic-map law in all three instances")
 
 
@@ -125,47 +117,11 @@ def test_criterion_04_effect_algebra_axiom_suite():
     for n in range(5):
         assert check_axioms(predicate_algebra(range_finset(n))).passed
 
-    # stochastic randomized triples
+    # randomized triples whose sums are defined
     rng = np.random.default_rng(404)
-    for _ in range(500):
-        n = int(rng.integers(1, 6))
-        carrier = range_finset(n)
-        w = rng.dirichlet(np.ones(4))
-        p, q, r = (
-            sto.FuzzyPredicate(carrier, rng.uniform(size=n) * w[i]) for i in range(3)
-        )
-        pq = sto.orthosum(p, q)
-        qp = sto.orthosum(q, p)
-        assert pq is not None and qp is not None
-        assert np.max(np.abs(pq.values - qp.values)) < config.EPS
-        left = sto.orthosum(pq, r)
-        right = sto.orthosum(p, sto.orthosum(q, r))
-        assert left is not None and right is not None
-        assert np.max(np.abs(left.values - right.values)) < config.EPS
-        assert np.max(np.abs(sto.orthosum(sto.falsity(carrier), p).values - p.values)) \
-            < config.EPS
-        comp = sto.orthosum(p, p.complement())
-        assert comp is not None and np.max(np.abs(comp.values - 1.0)) < config.EPS
-
-    # quantum randomized triples
-    for _ in range(500):
-        n = int(rng.integers(1, 5))
-        w = rng.dirichlet(np.ones(4))
-        p, q, r = (
-            probability_multiply(float(w[i]), random_predicate(rng, n))
-            for i in range(3)
-        )
-        pq = quantum.orthosum(p, q)
-        qp = quantum.orthosum(q, p)
-        assert pq is not None and qp is not None
-        assert np.max(np.abs(pq.first.matrix - qp.first.matrix)) < config.EPS
-        left = quantum.orthosum(pq, r)
-        right = quantum.orthosum(p, quantum.orthosum(q, r))
-        assert left is not None and right is not None
-        assert np.max(np.abs(left.first.matrix - right.first.matrix)) < config.POST_EPS
-        comp = quantum.orthosum(p, p.perp())
-        assert comp is not None
-        assert np.max(np.abs(comp.first.matrix - np.eye(n))) < config.POST_EPS
+    for name in INSTANCES:
+        check_partial_monoid(name, rng, 500, config.EPS)
+        check_orthocomplement(name, rng, 500, config.EPS)
     announce(4, "effect-algebra axiom suite")
 
 
@@ -229,93 +185,13 @@ def test_criterion_06_measurement_consistency():
 
 def test_criterion_07_substitution_functoriality_and_preservation():
     rng = np.random.default_rng(707)
-
-    # classical, randomized
-    import random
-
-    pyrng = random.Random(707)
-    for _ in range(100):
-        nx, ny, nz = (pyrng.randint(1, 6) for _ in range(3))
-        x, y, z = range_finset(nx), range_finset(ny), range_finset(nz)
-        f = FinMap(x, y, tuple(pyrng.randrange(ny) for _ in range(nx)))
-        g = FinMap(y, z, tuple(pyrng.randrange(nz) for _ in range(ny)))
-        q = BoolPredicate(z, frozenset(i for i in range(nz) if pyrng.random() < 0.5))
-        assert cl.substitute(cl.identity_map(z), q) == q
-        assert cl.substitute(cl.compose(g, f), q) == cl.substitute(f, cl.substitute(g, q))
-        assert cl.substitute(f, cl.truth(y)) == cl.truth(x)
-        r = BoolPredicate(z, frozenset(i for i in range(nz) if pyrng.random() < 0.3))
-        both = cl.orthosum(q, r)
-        if both is not None:
-            assert cl.substitute(g, both) == cl.orthosum(
-                cl.substitute(g, q), cl.substitute(g, r)
-            )
-
-    # stochastic, randomized
-    for _ in range(100):
-        nx, ny, nz = (int(rng.integers(1, 6)) for _ in range(3))
-        x, y, z = range_finset(nx), range_finset(ny), range_finset(nz)
-        f = sto.StochasticMap(x, y, _stochastic_matrix(rng, nx, ny))
-        g = sto.StochasticMap(y, z, _stochastic_matrix(rng, ny, nz))
-        psi = sto.FuzzyPredicate(z, rng.uniform(size=nz))
-        assert np.max(np.abs(
-            sto.substitute(sto.identity_kernel(z), psi).values - psi.values
-        )) < 1e-8
-        lhs = sto.substitute(sto.compose(g, f), psi)
-        rhs = sto.substitute(f, sto.substitute(g, psi))
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
-        assert np.max(np.abs(sto.substitute(f, sto.truth(y)).values - 1.0)) < 1e-8
-        s = float(rng.uniform())
-        assert np.max(np.abs(
-            sto.substitute(g, sto.probability_multiply(s, psi)).values
-            - sto.probability_multiply(s, sto.substitute(g, psi)).values
-        )) < 1e-8
-        half1 = sto.probability_multiply(0.5, psi)
-        half2 = sto.probability_multiply(0.5, psi.complement())
-        assert np.max(np.abs(
-            sto.substitute(g, sto.orthosum(half1, half2)).values
-            - sto.orthosum(sto.substitute(g, half1), sto.substitute(g, half2)).values
-        )) < 1e-8
-
-    # quantum, randomized
-    for _ in range(100):
-        n1 = int(rng.integers(1, 4))
-        n2 = n1 + int(rng.integers(0, 3))
-        n3 = n2 + int(rng.integers(0, 3))
-        f = random_isometry(rng, n2, n1)
-        g = random_isometry(rng, n3, n2)
-        q = random_predicate(rng, n3)
-        ident = Isometry(np.eye(n3))
-        assert np.max(np.abs(substitute(ident, q).first.matrix - q.first.matrix)) < 1e-8
-        lhs = substitute(Isometry(g.matrix @ f.matrix), q)
-        rhs = substitute(f, substitute(g, q))
-        assert np.max(np.abs(lhs.first.matrix - rhs.first.matrix)) < 1e-8
-        assert np.max(np.abs(
-            substitute(g, quantum.truth(n3)).first.matrix - np.eye(n2)
-        )) < 1e-8
-        s = float(rng.uniform())
-        assert np.max(np.abs(
-            substitute(g, probability_multiply(s, q)).first.matrix
-            - probability_multiply(s, substitute(g, q)).first.matrix
-        )) < 1e-8
-        part1 = probability_multiply(0.5, q)
-        part2 = probability_multiply(0.5, random_predicate(rng, n3))
-        total = quantum.orthosum(part1, part2)
-        assert total is not None
-        pulled = quantum.orthosum(substitute(g, part1), substitute(g, part2))
-        assert pulled is not None
-        assert np.max(np.abs(
-            substitute(g, total).first.matrix - pulled.first.matrix
-        )) < 1e-8
+    for name in INSTANCES:
+        check_substitution(name, rng, 100, 1e-8)
 
     # the stored negative fact: averaging breaks multiplicativity
     witness = sto.multiplication_not_preserved_witness()
     assert witness.gap > 1e-6
     announce(7, "substitution functoriality and structure preservation")
-
-
-def _stochastic_matrix(rng, rows, cols):
-    m = rng.uniform(size=(rows, cols)) + 1e-3
-    return m / np.sum(m, axis=1, keepdims=True)
 
 
 def test_criterion_08_relations_counterexample():

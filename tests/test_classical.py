@@ -28,7 +28,6 @@ from effectlogic.classical import (
     omega_predicate,
     orthosum,
     predicate_algebra,
-    predicate_as_map,
     range_finset,
     rel_joint_monicity_counterexample,
     stone_states,
@@ -60,10 +59,6 @@ class TestCarriersAndPredicates:
     def test_member_bounds(self):
         with pytest.raises(ValueError):
             BoolPredicate(finset("a"), frozenset({3}))
-
-    def test_complement_involution(self):
-        p = BoolPredicate(range_finset(4), frozenset({1, 3}))
-        assert p.complement().complement() == p
 
 
 class TestOrthosum:
@@ -110,18 +105,6 @@ class TestSubstitution:
         expected = frozenset(i for i in range(3) if f.table[i] in u.members)
         assert expected == frozenset({0, 1})
         assert substitute(f, u).members == expected
-
-    def test_functoriality_random(self):
-        import random
-
-        rng = random.Random(20240811)
-        for _ in range(100):
-            nx, ny, nz = (rng.randint(1, 6) for _ in range(3))
-            x, y, z = range_finset(nx), range_finset(ny), range_finset(nz)
-            f = FinMap(x, y, tuple(rng.randrange(ny) for _ in range(nx)))
-            g = FinMap(y, z, tuple(rng.randrange(nz) for _ in range(ny)))
-            q = BoolPredicate(z, frozenset(i for i in range(nz) if rng.random() < 0.5))
-            assert substitute(compose(g, f), q) == substitute(f, substitute(g, q))
 
     def test_preserves_structure(self):
         src, tgt = range_finset(4), range_finset(3)
@@ -196,16 +179,6 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             measure(truth(range_finset(2)), 5)
 
-    def test_char_property_random(self):
-        import random
-
-        rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            c = range_finset(n)
-            p = BoolPredicate(c, frozenset(i for i in range(n) if rng.random() < 0.5))
-            assert substitute(predicate_as_map(p), omega_predicate(c)) == p
-
     def test_omega_naturality(self):
         """Pulling the left-half subset back along f + f gives the left half."""
         for nx, ny in [(1, 1), (2, 3), (3, 2), (4, 1)]:
@@ -222,6 +195,15 @@ class TestExportedAlgebra:
 
     def test_matches_bitmask_construction(self):
         assert predicate_algebra(range_finset(3)).sums == boolean_powerset_ea(3).sums
+
+    def test_size_guard_comes_before_the_tables(self, monkeypatch):
+        # the tables take 4^n orthosum calls; P(n) is capped at n = 10
+        def refuse(p, q):
+            raise AssertionError("orthosum called")
+
+        monkeypatch.setattr(cl, "orthosum", refuse)
+        with pytest.raises(ValueError, match="too large"):
+            predicate_algebra(range_finset(11))
 
 
 class TestStoneStates:
@@ -254,18 +236,13 @@ class TestRelationCounterexample:
     n=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-def test_sum_complement_laws_hypothesis(n, data):
+def test_sum_is_disjoint_union_hypothesis(n, data):
     c = range_finset(n)
     u = frozenset(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
     v = frozenset(data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
-    p, q = BoolPredicate(c, u), BoolPredicate(c, v)
-    s = orthosum(p, q)
+    s = orthosum(BoolPredicate(c, u), BoolPredicate(c, v))
     assert (s is None) == bool(u & v)
-    if s is not None:
-        assert orthosum(q, p) == s
-    comp = orthosum(p, p.complement())
-    assert comp == truth(c)
-    assert then_op(p, q) == andthen_op(p, q.complement()).complement()
+    assert s is None or s.members == u | v
 
 
 class TestDoubledCarrier:

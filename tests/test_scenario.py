@@ -403,9 +403,13 @@ class TestCommandLine:
         assert out.endswith("3: born = 0.750000000\n")
 
     def test_selftest(self, capsys):
-        assert cli.main(["selftest", "--seed", "3", "--cases", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest quantum: ok" in out
+        assert cli.main(["selftest", "--seed", "7", "--cases", "100"]) == 0
+        assert capsys.readouterr().out == (
+            "selftest effect-algebra: ok (500 checks)\n"
+            "selftest classical: ok (300 checks)\n"
+            "selftest stochastic: ok (300 checks)\n"
+            "selftest quantum: ok (400 checks)\n"
+        )
 
     def test_usage_error(self, capsys):
         assert cli.main([]) == 2

@@ -9,8 +9,6 @@ expectation pairing.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from effectlogic import config
 from effectlogic import stochastic as sto
@@ -23,13 +21,11 @@ from effectlogic.stochastic import (
     clamp_probability,
     comprehension,
     compose,
-    coproduct_map,
     dirac,
     falsity,
     indicator,
     measure_distribution,
     multiplication_not_preserved_witness,
-    omega_predicate,
     orthosum,
     predicate_as_map,
     probability_multiply,
@@ -100,15 +96,6 @@ class TestOrthosum:
         p = FuzzyPredicate(c, np.full(3, 0.6))
         assert orthosum(p, p) is None
 
-    def test_complement_sums_to_truth(self):
-        r = rng()
-        for _ in range(25):
-            c = range_finset(int(r.integers(1, 7)))
-            p = random_fuzzy(r, c)
-            s = orthosum(p, p.complement())
-            assert s is not None
-            assert np.allclose(s.values, 1.0)
-
     def test_carrier_mismatch(self):
         with pytest.raises(ValueError):
             orthosum(truth(range_finset(1)), truth(range_finset(2)))
@@ -127,42 +114,6 @@ class TestSubstitution:
         psi = FuzzyPredicate(c, np.array([1.0, 0.0]))
         assert np.allclose(substitute(f, psi).values, 0.5)
 
-    def test_preserves_truth(self):
-        r = rng()
-        for _ in range(100):
-            src = range_finset(int(r.integers(1, 7)))
-            tgt = range_finset(int(r.integers(1, 7)))
-            f = random_kernel(r, src, tgt)
-            assert np.allclose(substitute(f, truth(tgt)).values, 1.0)
-
-    def test_functoriality_and_linearity(self):
-        r = rng()
-        for _ in range(100):
-            nx, ny, nz = (int(r.integers(1, 6)) for _ in range(3))
-            x, y, z = range_finset(nx), range_finset(ny), range_finset(nz)
-            f = random_kernel(r, x, y)
-            g = random_kernel(r, y, z)
-            psi = random_fuzzy(r, z)
-            k = compose(g, f)
-            via_composite = substitute(k, psi)
-            via_stages = substitute(f, substitute(g, psi))
-            assert np.max(np.abs(via_composite.values - via_stages.values)) < config.EPS
-            half = probability_multiply(0.5, psi)
-            assert np.allclose(
-                substitute(k, half).values,
-                probability_multiply(0.5, substitute(k, psi)).values,
-                atol=config.EPS,
-            )
-            q1 = probability_multiply(0.5, psi)
-            q2 = probability_multiply(0.5, psi.complement())
-            s = orthosum(q1, q2)
-            assert s is not None
-            assert np.allclose(
-                substitute(k, s).values,
-                orthosum(substitute(k, q1), substitute(k, q2)).values,
-                atol=config.EPS,
-            )
-
     def test_kleisli_associativity(self):
         r = rng()
         for _ in range(50):
@@ -177,12 +128,6 @@ class TestSubstitution:
 
 
 class TestScalarMultiplication:
-    def test_units(self):
-        c = range_finset(3)
-        p = FuzzyPredicate(c, np.array([0.1, 0.5, 0.9]))
-        assert np.allclose(probability_multiply(1.0, p).values, p.values)
-        assert np.allclose(probability_multiply(0.0, p).values, 0.0)
-
     def test_scaling(self):
         c = range_finset(2)
         p = FuzzyPredicate(c, np.full(2, 0.8))
@@ -217,31 +162,12 @@ class TestScalarMultiplication:
 
 
 class TestDynamicTests:
-    def test_unit(self):
-        c = range_finset(4)
-        psi = FuzzyPredicate(c, np.array([0.0, 0.3, 0.6, 1.0]))
-        assert np.allclose(andthen_op(truth(c), psi).values, psi.values)
-        assert np.allclose(then_op(truth(c), psi).values, psi.values)
-
     def test_pointwise_numbers(self):
         c = range_finset(1)
         p = FuzzyPredicate(c, np.array([0.5]))
         q = FuzzyPredicate(c, np.array([0.4]))
         assert andthen_op(p, q).values[0] == pytest.approx(0.2)
         assert then_op(p, q).values[0] == pytest.approx(0.7)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(
-        st.floats(min_value=0, max_value=1, allow_nan=False),
-        st.floats(min_value=0, max_value=1, allow_nan=False),
-    ), min_size=1, max_size=6))
-    def test_then_is_complemented_andthen(self, pairs):
-        c = range_finset(len(pairs))
-        p = FuzzyPredicate(c, np.array([a for a, _ in pairs]))
-        q = FuzzyPredicate(c, np.array([b for _, b in pairs]))
-        direct = then_op(p, q).values
-        via_perp = 1.0 - andthen_op(p, q.complement()).values
-        assert np.max(np.abs(direct - via_perp)) < 1e-12
 
 
 class TestComprehension:
@@ -295,23 +221,6 @@ class TestMeasurement:
             out = measure_distribution(p, m)
             collapsed = out.weights[: c.size] + out.weights[c.size:]
             assert np.max(np.abs(collapsed - m.weights)) < config.EPS
-
-    def test_char_property(self):
-        r = rng()
-        for _ in range(100):
-            c = range_finset(int(r.integers(1, 7)))
-            p = random_fuzzy(r, c)
-            back = substitute(predicate_as_map(p), omega_predicate(c))
-            assert np.max(np.abs(back.values - p.values)) < config.EPS
-
-    def test_omega_naturality(self):
-        r = rng()
-        for _ in range(50):
-            x = range_finset(int(r.integers(1, 5)))
-            y = range_finset(int(r.integers(1, 5)))
-            f = random_kernel(r, x, y)
-            pulled = substitute(coproduct_map(f), omega_predicate(y))
-            assert np.max(np.abs(pulled.values - omega_predicate(x).values)) < config.EPS
 
 
 class TestExpectationDuality:
