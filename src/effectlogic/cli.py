@@ -76,33 +76,14 @@ def _selftest_effect_algebra(rng: np.random.Generator, cases: int) -> int:
     return checks
 
 
-def _selftest_laws(record: instances.Instance, rng: np.random.Generator, cases: int) -> int:
-    """char_p*(Omega) = p, p + p' = 1 and then(p, q) = (andthen(p, q'))'; where
-    there are pure states, the two routes of the probability rule agree."""
-    m, checks = record.module, 0
-    for _ in range(cases):
-        space = record.space(int(rng.integers(1, 6)))
-        p, q = record.random_predicate(rng, space), record.random_predicate(rng, space)
-        back = m.substitute(record.classifier(p), m.omega_predicate(space))
-        assert record.close(back, p, config.POST_EPS)
-        assert record.close(m.orthosum(p, record.complement(p)), m.truth(space), config.POST_EPS)
-        via_andthen = record.complement(m.test_andthen(p, record.complement(q)))
-        assert record.close(m.test_then(p, q), via_andthen, 1e-12)
-        checks += 3
-        if hasattr(m, "born_spectral"):
-            x = m.random_pure_state(rng, space)
-            assert abs(m.born_probability(x, p) - m.born_spectral(x, p)) < config.POST_EPS
-            checks += 1
-    return checks
-
-
 def selftest(seed: int = 0, cases: int = 50) -> tuple[str, bool]:
     """Seeded randomized batches: effect-algebra constructions, instance laws."""
     rng = np.random.default_rng(seed)
     lines = []
     ok = True
     batches = [("effect-algebra", _selftest_effect_algebra)] + [
-        (name, partial(_selftest_laws, record)) for name, record in instances.INSTANCES.items()]
+        (name, partial(instances.check_laws, record, tol=config.POST_EPS))
+        for name, record in instances.INSTANCES.items()]
     for name, batch in batches:
         try:
             checks = batch(rng, cases)

@@ -1,8 +1,9 @@
 """The three instances, each described once; the scenario's shared query
-rows, the selftest and the shared-law tests are built from these records.
-A record holds what the modules spell differently.  It and the shared
-operations, ``record.module.<name>``, reach the library at call time, so a
-caller that rebinds a module's functions sees every call."""
+rows, the selftest and the shared-law tests are built from these records,
+and ``check_laws`` is the one body of the laws the selftest and the tests
+both run.  A record holds what the modules spell differently.  It and the
+shared operations, ``record.module.<name>``, reach the library at call
+time, so a caller that rebinds a module's functions sees every call."""
 
 from dataclasses import dataclass
 from types import ModuleType
@@ -54,3 +55,24 @@ INSTANCES: dict[str, Instance] = {
         complement=lambda p: p.perp(),
     ),
 }
+
+
+def check_laws(record: Instance, rng, cases: int, tol: float) -> int:
+    """On random predicates: char_p*(Omega) = p; p + p' = 1, p'' = p, and p + 1
+    is defined only for p = 0; then(p, q) = (andthen(p, q'))' within 1e-12.
+    Where there are pure states, the two routes of the probability rule
+    agree.  Returns the number of laws checked."""
+    m, close, perp = record.module, record.close, record.complement
+    for _ in range(cases):
+        space = record.space(int(rng.integers(1, 7)))
+        p, q = record.random_predicate(rng, space), record.random_predicate(rng, space)
+        assert close(m.substitute(record.classifier(p), m.omega_predicate(space)), p, tol)
+        complemented = m.orthosum(p, perp(p))
+        assert complemented is not None and close(complemented, m.truth(space), tol)
+        assert close(perp(perp(p)), p, tol)
+        assert m.orthosum(p, m.truth(space)) is None or close(p, m.falsity(space), tol)
+        assert close(m.test_then(p, q), perp(m.test_andthen(p, perp(q))), 1e-12)
+        if hasattr(m, "born_spectral"):
+            x = m.random_pure_state(rng, space)
+            assert abs(m.born_probability(x, p) - m.born_spectral(x, p)) < tol
+    return cases * (4 if hasattr(m, "born_spectral") else 3)

@@ -391,13 +391,9 @@ class _Evaluator:
             raise QueryError(f"argument {idx + 1} of {expr.fn} must be {what}")
         return value
 
-    def matrix(self, expr: CallExpr, keep=()) -> np.ndarray:
-        value = self.evaluate(expr.args[0]) if expr.args else None
-        if isinstance(value, (np.ndarray, keep)):
-            return value
-        if isinstance(value, QPredicate):
-            return value.first.matrix
-        raise QueryError(f"argument 1 of {expr.fn} must be a matrix")
+    def matrix(self, expr: CallExpr) -> np.ndarray:
+        value = self.arg(expr, 0, (np.ndarray, QPredicate), "a matrix")
+        return value if isinstance(value, np.ndarray) else value.first.matrix
 
 
 def _labels(expr: CallExpr, start: int) -> tuple[str, ...]:
@@ -441,7 +437,7 @@ def _make_stochmap(ev: _Evaluator, expr: CallExpr) -> StochasticMap:
 
 
 def _make_predicate(ev: _Evaluator, expr: CallExpr) -> QPredicate:
-    value = ev.matrix(expr, keep=QPredicate)
+    value = ev.arg(expr, 0, (np.ndarray, QPredicate), "a matrix")
     return value if isinstance(value, QPredicate) else QPredicate(Effect(value))
 
 

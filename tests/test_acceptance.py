@@ -28,7 +28,7 @@ from effectlogic.effect_algebra import (
     mo_free,
     product,
 )
-from effectlogic.instances import INSTANCES
+from effectlogic.instances import INSTANCES, check_laws
 from effectlogic.quantum import (
     DensityMatrix,
     Effect,
@@ -43,12 +43,7 @@ from effectlogic.quantum import (
     substitute,
     xi_state,
 )
-from test_shared_laws import (
-    check_characteristic_map,
-    check_orthocomplement,
-    check_partial_monoid,
-    check_substitution,
-)
+from test_shared_laws import check_partial_monoid, check_substitution
 
 
 def announce(number: int, name: str) -> None:
@@ -96,8 +91,8 @@ def test_criterion_03_characteristic_map_law():
             assert cl.substitute(cl.predicate_as_map(p), omega) == p
 
     rng = np.random.default_rng(303)
-    for name in INSTANCES:
-        check_characteristic_map(name, rng, 200, 1e-8)
+    for record in INSTANCES.values():
+        check_laws(record, rng, 200, 1e-8)
     announce(3, "characteristic-map law in all three instances")
 
 
@@ -117,11 +112,11 @@ def test_criterion_04_effect_algebra_axiom_suite():
     for n in range(5):
         assert check_axioms(predicate_algebra(range_finset(n))).passed
 
-    # randomized triples whose sums are defined
+    # randomized triples whose sums are defined, and the orthocomplement
     rng = np.random.default_rng(404)
     for name in INSTANCES:
         check_partial_monoid(name, rng, 500, config.EPS)
-        check_orthocomplement(name, rng, 500, config.EPS)
+        check_laws(INSTANCES[name], rng, 500, config.EPS)
     announce(4, "effect-algebra axiom suite")
 
 

@@ -411,6 +411,12 @@ class TestCommandLine:
             "selftest quantum: ok (400 checks)\n"
         )
 
+    def test_selftest_reports_a_broken_law(self, monkeypatch, capsys):
+        # a then that ignores its first argument breaks then = (andthen q')'
+        monkeypatch.setattr(stochastic, "test_then", lambda p, q: q)
+        assert cli.main(["selftest", "--seed", "7", "--cases", "5"]) == 1
+        assert capsys.readouterr().out.splitlines()[2].startswith("selftest stochastic: FAILED")
+
     def test_usage_error(self, capsys):
         assert cli.main([]) == 2
         capsys.readouterr()
@@ -646,6 +652,7 @@ TEXT_LAYER_REPORT = (
 
 STOCHASTIC_HEAD = 'instance stochastic\nlet X = carrier(a, b)\nlet Y = carrier(u, v)\nlet p = fuzzy(X, 0.5, 1)\n'
 CLASSICAL_HEAD = 'instance classical\nlet X = carrier(a, b)\n'
+QUANTUM_HEAD = 'instance quantum\n'
 
 # number runs closing an argument list or followed by more arguments,
 # malformed numbers inside a run, and runs in nested query calls
@@ -677,6 +684,10 @@ PARSE_ERRORS = [
     (CLASSICAL_HEAD, 'let s = subset(X, a, 1, 2)\n', (3, 9, 'argument 3 of subset must be a label')),
     (CLASSICAL_HEAD, 'query states(1, 2)\n', (3, 7, 'states takes 1 arguments, got 2')),
     (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, 1, 2))\n', (3, 29, 'argument 2 of elem must be a label')),
+    # matrix arguments: a missing one is reported as missing, as for every constructor
+    (QUANTUM_HEAD, 'let p = predicate()\n', (2, 1, 'predicate is missing argument 1')),
+    (QUANTUM_HEAD, 'let p = effect(ket0)\n', (2, 1, 'argument 1 of effect must be a matrix')),
+    (QUANTUM_HEAD, 'let d = density(ket0)\n', (2, 1, 'argument 1 of density must be a matrix')),
 ]
 
 

@@ -9,6 +9,8 @@ expectation pairing.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlogic import config
 from effectlogic import stochastic as sto
@@ -168,6 +170,20 @@ class TestDynamicTests:
         q = FuzzyPredicate(c, np.array([0.4]))
         assert andthen_op(p, q).values[0] == pytest.approx(0.2)
         assert then_op(p, q).values[0] == pytest.approx(0.7)
+
+    # boundary and subnormal values, which the shared then law never draws
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(min_value=0, max_value=1, allow_nan=False),
+        st.floats(min_value=0, max_value=1, allow_nan=False),
+    ), min_size=1, max_size=6))
+    def test_then_is_complemented_andthen(self, pairs):
+        c = range_finset(len(pairs))
+        p = FuzzyPredicate(c, np.array([a for a, _ in pairs]))
+        q = FuzzyPredicate(c, np.array([b for _, b in pairs]))
+        direct = then_op(p, q).values
+        via_perp = 1.0 - andthen_op(p, q.complement()).values
+        assert np.max(np.abs(direct - via_perp)) < 1e-12
 
 
 class TestComprehension:
