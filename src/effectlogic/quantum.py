@@ -74,8 +74,9 @@ def _check_effect_spectrum(vals: np.ndarray) -> None:
 
 
 def _implied_effect(m: np.ndarray) -> Effect:
-    """An effect whose checks are implied by checks already made on the
-    spectrum it derives from, so it is not diagonalised again."""
+    """An effect whose checks are implied, by checks already made on the
+    spectrum it derives from or by a spectrum known in advance, so it is
+    not diagonalised."""
     effect = object.__new__(Effect)
     object.__setattr__(effect, "matrix", _frozen(m))
     return effect
@@ -121,11 +122,11 @@ class QPredicate:
 
 
 def truth(n: int) -> QPredicate:
-    return QPredicate.from_effect(Effect(np.eye(n)))
+    return QPredicate(_implied_effect(np.eye(n)))  # spectrum {1}
 
 
 def falsity(n: int) -> QPredicate:
-    return QPredicate.from_effect(Effect(np.zeros((n, n))))
+    return QPredicate(_implied_effect(np.zeros((n, n))))  # spectrum {0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +283,7 @@ def omega_predicate(n: int) -> QPredicate:
         raise ValueError("n must be >= 1")
     first = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     first[:n, :n] = np.eye(n)
-    return QPredicate.from_effect(Effect(first))
+    return QPredicate(_implied_effect(first))  # a projector: spectrum {0, 1}
 
 
 def test_andthen(p: QPredicate, q: QPredicate) -> QPredicate:

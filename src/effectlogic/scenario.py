@@ -28,6 +28,7 @@ number of decimals, matrices in the shared literal format.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -378,10 +379,7 @@ class _Evaluator:
         return out
 
     def natural(self, expr: CallExpr) -> int:
-        n = self.numbers(expr, 0)
-        if len(n) != 1 or n[0] != int(n[0]):
-            raise QueryError(f"{expr.fn} takes one natural number")
-        return int(n[0])
+        return _natural(self.numbers(expr, 0), f"{expr.fn} takes one natural number")
 
     def arg(self, expr: CallExpr, idx: int, kind, what: str):
         if idx >= len(expr.args):
@@ -513,10 +511,16 @@ def _quantum_measure(p: QPredicate, state: PureState | DensityMatrix):
     return quantum.measure_density(p, state)
 
 
+def _natural(numbers: list, message: str) -> int:
+    """The one number given, if it is finite and whole (a literal such as
+    1e999 reads as inf); otherwise a QueryError with the message."""
+    if len(numbers) != 1 or not math.isfinite(numbers[0]) or numbers[0] != int(numbers[0]):
+        raise QueryError(message)
+    return int(numbers[0])
+
+
 def _states(n: float) -> int:
-    if n != int(n):
-        raise QueryError("states takes a natural number")
-    return len(classical.stone_states(int(n)))
+    return len(classical.stone_states(_natural([n], "states takes a natural number")))
 
 
 def _axioms(target: FiniteEffectAlgebra | FinSet):

@@ -32,7 +32,6 @@ from effectlogic.instances import INSTANCES, check_laws
 from effectlogic.quantum import (
     DensityMatrix,
     Effect,
-    char_sqrt,
     measure_density,
     measure_pure,
     projective_compose,
@@ -40,10 +39,8 @@ from effectlogic.quantum import (
     random_isometry,
     random_predicate,
     random_pure_state,
-    substitute,
-    xi_state,
 )
-from test_shared_laws import check_partial_monoid, check_substitution
+from test_shared_laws import check_duality_square, check_partial_monoid, check_substitution
 
 
 def announce(number: int, name: str) -> None:
@@ -156,25 +153,9 @@ def test_criterion_06_measurement_consistency():
         via_mixed = measure_density(p, DensityMatrix.from_pure(x)).matrix
         assert np.max(np.abs(via_pure - via_mixed)) < 1e-8
 
-    # (c) duality squares
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        carrier = range_finset(n)
-        weights = rng.uniform(size=n) + 1e-3
-        m = sto.Distribution(carrier, weights / np.sum(weights))
-        p = sto.FuzzyPredicate(carrier, rng.uniform(size=n))
-        psi = sto.FuzzyPredicate(sto.doubled_carrier(carrier), rng.uniform(size=2 * n))
-        lhs = sto.xi_state(sto.measure_distribution(p, m))(psi)
-        rhs = sto.xi_state(m)(sto.substitute(sto.predicate_as_map(p), psi))
-        assert abs(lhs - rhs) < 1e-8
-    for _ in range(200):
-        n = int(rng.integers(1, 4))
-        p = random_predicate(rng, n)
-        rho = random_density(rng, n)
-        a = random_predicate(rng, 2 * n)
-        lhs = xi_state(measure_density(p, rho))(a)
-        rhs = xi_state(rho)(substitute(char_sqrt(p), a))
-        assert abs(lhs - rhs) < 1e-8
+    # (c) duality squares, in all three instances
+    for name in INSTANCES:
+        check_duality_square(name, rng, 200, 1e-8)
     announce(6, "measurement consistency")
 
 

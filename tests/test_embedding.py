@@ -1,194 +1,172 @@
 """Each instance embeds into the next, and every operation commutes with it.
 
-Classical into stochastic: a subset becomes its 0/1 fuzzy predicate and a
-function the deterministic kernel of its table.  Values stay 0 or 1, so
-the images agree exactly.
-
-Stochastic into quantum, along the diagonal: a fuzzy predicate p on an
-n-point carrier becomes the diagonal effect diag(p), a distribution the
-diagonal density matrix of its weights.  These agree within the README's
+Classical into stochastic: a subset becomes its 0/1 fuzzy predicate, a
+function the deterministic kernel of its table and a point its Dirac
+distribution; the images agree exactly.  Stochastic into quantum, along
+the diagonal: a fuzzy predicate p becomes diag(p), a distribution the
+diagonal density matrix of its weights, and an injective function, as a
+kernel, the isometry with columns e_f(x); these agree within the README's
 1e-8 contract after chained arithmetic.
 
-The paper's claim that one structure covers the three instances says
-every operation commutes with these embeddings.
+``EMBEDDINGS`` describes each pair once, and one check runs every shared
+row of the scenario table (``scenario.OPERATIONS``) on both sides, with
+comprehension and measurement, in each drawn example.
 """
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectlogic import classical, config, quantum, stochastic
+from effectlogic import config, quantum, scenario, stochastic
 from effectlogic.classical import BoolPredicate, FinMap, range_finset
-from effectlogic.quantum import DensityMatrix, Effect, QPredicate
+from effectlogic.instances import INSTANCES
+from effectlogic.quantum import DensityMatrix, Effect, Isometry, QPredicate
+from effectlogic.scenario import Element
+from effectlogic.stochastic import Distribution, FuzzyPredicate, StochasticMap
+from test_shared_laws import STATES
 
 TOL = 1e-8
+
+# the operands of each shared operation, named as in a drawn case; a shared
+# row added to the scenario table needs its operands here
+OPERANDS = {"substitute": ("f", "r"), "andthen": ("p", "q"), "then": ("p", "q"),
+            "orthosum": ("p", "q"), "multiply": ("s", "p")}
 
 unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def fuzzy_pair(draw):
+def subsets_case(draw):
+    """Subsets p, q of X, a function f: X -> Y, a subset r of Y, a point of X."""
+    def subset(c):
+        return BoolPredicate(c, frozenset(draw(st.sets(st.integers(0, c.size - 1)))))
+
+    x, y = (range_finset(draw(st.integers(1, 6))) for _ in range(2))
+    table = draw(st.lists(st.integers(0, y.size - 1), min_size=x.size, max_size=x.size))
+    return dict(p=subset(x), q=subset(x), f=FinMap(x, y, tuple(table)), r=subset(y),
+                state=Element(x, draw(st.integers(0, 5)) % x.size))
+
+
+@st.composite
+def fuzzy_case(draw):
+    """The same with fuzzy predicates, a scalar s, an injective f as its
+    kernel, and a distribution on X (None where the weights vanish)."""
+    def fuzzy(c):
+        return FuzzyPredicate(c, draw(st.lists(unit, min_size=c.size, max_size=c.size)))
+
     n = draw(st.integers(1, 5))
-    carrier = range_finset(n)
-    p, q = (stochastic.FuzzyPredicate(carrier, draw(st.lists(unit, min_size=n, max_size=n)))
-            for _ in range(2))
-    return p, q
+    x, y = range_finset(n), range_finset(draw(st.integers(n, 5)))
+    f = stochastic.deterministic(draw(st.permutations(range(y.size)))[:n], x, y)
+    weights = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    state = Distribution(x, weights / weights.sum()) if weights.sum() > 1e-3 else None
+    return dict(p=fuzzy(x), q=fuzzy(x), s=draw(unit), f=f, r=fuzzy(y), state=state)
 
 
-def embed(p: stochastic.FuzzyPredicate) -> QPredicate:
-    return QPredicate.from_effect(Effect(np.diag(p.values)))
+def exact(a, b) -> bool:
+    """Equal stochastic values: the same type, carriers and entries."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values()))
 
 
-def assert_diagonal(matrix: np.ndarray, values: np.ndarray) -> None:
-    assert np.max(np.abs(matrix - np.diag(values)), initial=0.0) < TOL
+# what must agree of each quantum value: a predicate's left part, an
+# isometry's image (its basis is free), and a measured state's weights
+# (measurement keeps the two branches coherent, a kernel does not)
+VIEWS = {QPredicate: lambda v: v.first.matrix,
+         Isometry: lambda v: v.matrix @ v.matrix.conj().T,
+         DensityMatrix: lambda v: np.diag(v.matrix)}
+
+
+def close(a, b) -> bool:
+    x, y = VIEWS[type(a)](a), VIEWS[type(b)](b)
+    return x.shape == y.shape and float(np.max(np.abs(x - y), initial=0.0)) < TOL
+
+
+class Embedding(NamedTuple):
+    """One instance inside the next: the image of each source type, when two
+    target values agree, and whether p + q lies too near the bound of the
+    sum for its definedness to be compared."""
+
+    images: dict[type, Callable]
+    same: Callable
+    undecided: Callable = lambda p, q: False
+
+
+EMBEDDINGS = {
+    ("classical", "stochastic"): Embedding({
+        BoolPredicate: lambda p: FuzzyPredicate(p.carrier, [p.holds(i) for i in range(p.carrier.size)]),
+        FinMap: lambda f: stochastic.deterministic(f.table, f.source, f.target),
+        Element: lambda x: stochastic.dirac(x.carrier, x.index),
+    }, exact),
+    ("stochastic", "quantum"): Embedding({
+        FuzzyPredicate: lambda p: QPredicate(Effect(np.diag(p.values))),
+        StochasticMap: lambda f: Isometry(f.matrix.T),
+        Distribution: lambda m: DensityMatrix(np.diag(m.weights)),
+    }, close, lambda p, q: abs(np.max(p.values + q.values) - (1.0 + config.EPS)) <= TOL),
+}
+
+
+def covered(pair) -> list[str]:
+    """The shared operations the check runs: those the source answers too."""
+    return [kind for kind in OPERANDS if kind in scenario.OPERATIONS[pair[0]]]
+
+
+def inclusion(name: str, p):
+    out = INSTANCES[name].module.comprehension(p)
+    return out[1] if isinstance(out, tuple) else out
+
+
+def check_commutes(pair, case: dict) -> None:
+    """Embedding the result of each shared operation, of comprehension and
+    of measurement gives the result on the embedded operands."""
+    source, target = pair
+    e = EMBEDDINGS[pair]
+
+    def embed(value):
+        return e.images[type(value)](value) if type(value) in e.images else value
+
+    for kind in covered(pair):
+        if kind == "orthosum" and e.undecided(case["p"], case["q"]):
+            continue  # definedness may go either way within the tolerance
+        args = [case[name] for name in OPERANDS[kind]]
+        image = scenario.OPERATIONS[source][kind][1](*args)
+        direct = scenario.OPERATIONS[target][kind][1](*map(embed, args))
+        assert (image is None) == (direct is None), kind
+        assert image is None or e.same(embed(image), direct), kind
+    p, state = case["p"], case["state"]
+    assert e.same(embed(inclusion(source, p)), inclusion(target, embed(p)))
+    if state is not None:
+        measured = STATES[target][1](embed(p), embed(state))
+        assert e.same(embed(STATES[source][1](p, state)), measured)
 
 
 @settings(max_examples=200, deadline=None)
-@given(fuzzy_pair())
-def test_orthosum_commutes(pair):
-    p, q = pair
-    # definedness itself may go either way within the tolerance of the bound
-    assume(abs(np.max(p.values + q.values) - (1.0 + config.EPS)) > TOL)
-    classical_sum = stochastic.orthosum(p, q)
-    quantum_sum = quantum.orthosum(embed(p), embed(q))
-    assert (classical_sum is None) == (quantum_sum is None)
-    if classical_sum is not None:
-        assert_diagonal(quantum_sum.first.matrix, classical_sum.values)
-        assert_diagonal(quantum_sum.second.matrix, classical_sum.complement().values)
+@given(subsets_case())
+def test_classical_into_stochastic(case):
+    check_commutes(("classical", "stochastic"), case)
 
 
 @settings(max_examples=200, deadline=None)
-@given(fuzzy_pair(), unit)
-def test_multiply_commutes(pair, s):
-    p, _ = pair
-    scaled = quantum.probability_multiply(s, embed(p))
-    assert_diagonal(scaled.first.matrix, stochastic.probability_multiply(s, p).values)
+@given(fuzzy_case())
+def test_stochastic_into_quantum(case):
+    check_commutes(("stochastic", "quantum"), case)
 
 
-@settings(max_examples=200, deadline=None)
-@given(fuzzy_pair())
-def test_sequential_tests_commute(pair):
-    p, q = pair
-    a, b = embed(p), embed(q)
-    assert_diagonal(quantum.test_andthen(a, b).first.matrix,
-                    stochastic.test_andthen(p, q).values)
-    assert_diagonal(quantum.test_then(a, b).first.matrix, stochastic.test_then(p, q).values)
-
-
-@settings(max_examples=200, deadline=None)
-@given(fuzzy_pair())
-def test_comprehension_commutes(pair):
-    p, _ = pair
-    sub, _ = stochastic.comprehension(p)
-    inclusion = quantum.comprehension(embed(p)).matrix
-    assert inclusion.shape == (p.carrier.size, sub.size)
-    certain = (1.0 - p.values < config.POST_EPS).astype(float)
-    assert_diagonal(inclusion @ inclusion.conj().T, certain)
+@pytest.mark.parametrize("pair", EMBEDDINGS, ids="-".join)
+def test_every_shared_operation_is_checked(pair):
+    source, target = pair
+    shared = scenario._shared_rows(INSTANCES[target])
+    assert set(covered(pair)) == set(shared) & set(scenario.OPERATIONS[source])
 
 
 @pytest.mark.parametrize("value,size", [(1.0, 1), (1.0 - 5e-9, 1), (1.0 - 2e-8, 0)])
 def test_comprehension_band_edge(value, size):
     # both instances count a value within POST_EPS of 1 as certain
-    p = stochastic.FuzzyPredicate(range_finset(2), [value, 0.3])
+    p = FuzzyPredicate(range_finset(2), [value, 0.3])
     sub, _ = stochastic.comprehension(p)
     assert sub.size == size
-    assert quantum.comprehension(embed(p)).matrix.shape == (2, size)
-
-
-@settings(max_examples=200, deadline=None)
-@given(fuzzy_pair(), st.lists(unit, min_size=5, max_size=5))
-def test_measure_commutes(pair, raw_weights):
-    p, _ = pair
-    n = p.carrier.size
-    weights = np.array(raw_weights[:n])
-    assume(weights.sum() > 1e-3)
-    dist = stochastic.Distribution(p.carrier, weights / weights.sum())
-    rho = DensityMatrix(np.diag(dist.weights))
-    measured = quantum.measure_density(embed(p), rho).matrix
-    expected = stochastic.measure_distribution(p, dist).weights
-    assert np.max(np.abs(np.diag(measured) - expected)) < TOL
-
-
-# -- classical into stochastic -------------------------------------------------
-
-
-@st.composite
-def subset_pair(draw):
-    n = draw(st.integers(1, 6))
-    carrier = range_finset(n)
-    p, q = (BoolPredicate(carrier, frozenset(draw(st.sets(st.integers(0, n - 1)))))
-            for _ in range(2))
-    return p, q
-
-
-@st.composite
-def function_and_subset(draw):
-    source, target = (range_finset(draw(st.integers(1, 6))) for _ in range(2))
-    table = draw(st.lists(st.integers(0, target.size - 1),
-                          min_size=source.size, max_size=source.size))
-    q = BoolPredicate(target, frozenset(draw(st.sets(st.integers(0, target.size - 1)))))
-    return FinMap(source, target, tuple(table)), q
-
-
-def lift(p: BoolPredicate) -> stochastic.FuzzyPredicate:
-    values = np.zeros(p.carrier.size)
-    values[sorted(p.members)] = 1.0
-    return stochastic.FuzzyPredicate(p.carrier, values)
-
-
-def lift_map(f: FinMap) -> stochastic.StochasticMap:
-    return stochastic.deterministic(f.table, f.source, f.target)
-
-
-def assert_lifts_to(p: BoolPredicate, fuzzy: stochastic.FuzzyPredicate) -> None:
-    assert fuzzy.carrier == p.carrier
-    assert np.array_equal(fuzzy.values, lift(p).values)
-
-
-@settings(max_examples=200, deadline=None)
-@given(subset_pair())
-def test_lifted_orthosum_commutes(pair):
-    p, q = pair
-    subset_sum = classical.orthosum(p, q)
-    fuzzy_sum = stochastic.orthosum(lift(p), lift(q))
-    assert (subset_sum is None) == (fuzzy_sum is None) == bool(p.members & q.members)
-    if subset_sum is not None:
-        assert_lifts_to(subset_sum, fuzzy_sum)
-
-
-@settings(max_examples=200, deadline=None)
-@given(subset_pair())
-def test_lifted_sequential_tests_commute(pair):
-    p, q = pair
-    assert_lifts_to(classical.test_andthen(p, q), stochastic.test_andthen(lift(p), lift(q)))
-    assert_lifts_to(classical.test_then(p, q), stochastic.test_then(lift(p), lift(q)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(function_and_subset())
-def test_lifted_substitute_commutes(case):
-    f, q = case
-    assert_lifts_to(classical.substitute(f, q), stochastic.substitute(lift_map(f), lift(q)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(subset_pair())
-def test_lifted_comprehension_commutes(pair):
-    p, _ = pair
-    sub, inclusion = classical.comprehension(p)
-    fuzzy_sub, fuzzy_inclusion = stochastic.comprehension(lift(p))
-    assert fuzzy_sub.labels == sub.labels
-    assert np.array_equal(fuzzy_inclusion.matrix, lift_map(inclusion).matrix)
-
-
-@settings(max_examples=200, deadline=None)
-@given(subset_pair(), st.integers(0, 5))
-def test_lifted_measure_commutes(pair, point):
-    p, _ = pair
-    x = point % p.carrier.size
-    measured = stochastic.measure_distribution(lift(p), stochastic.dirac(p.carrier, x))
-    side = classical.tagged_to_index(p.carrier, classical.measure(p, x))
-    assert measured.carrier == classical.doubled_carrier(p.carrier)
-    assert np.array_equal(measured.weights,
-                          stochastic.dirac(measured.carrier, side).weights)
+    diagonal = EMBEDDINGS["stochastic", "quantum"].images[FuzzyPredicate]
+    assert quantum.comprehension(diagonal(p)).matrix.shape == (2, size)

@@ -216,6 +216,16 @@ class TestRunning:
         with pytest.raises(ScenarioError, match="line 2"):
             parse_scenario("instance classical\nlet big = powerset(16)\n")
 
+    def test_overflowing_literal_is_not_a_natural_number(self):
+        # 1e999 reads as inf, which has no integer value
+        out, ok = run(parse_scenario(
+            "instance classical\nquery states(1e999)\nquery axioms(mo(1e999))\n"))
+        assert not ok
+        assert out.splitlines() == [
+            "0: states = error: line 2: states takes a natural number",
+            "1: axioms = error: line 3: mo takes one natural number",
+        ]
+
     def test_undefined_orthosum(self):
         text = (
             "instance stochastic\n"
@@ -683,6 +693,7 @@ PARSE_ERRORS = [
     (CLASSICAL_HEAD, 'let s = subset(X, 1, 2, a)\n', (3, 9, 'argument 2 of subset must be a label')),
     (CLASSICAL_HEAD, 'let s = subset(X, a, 1, 2)\n', (3, 9, 'argument 3 of subset must be a label')),
     (CLASSICAL_HEAD, 'query states(1, 2)\n', (3, 7, 'states takes 1 arguments, got 2')),
+    (CLASSICAL_HEAD, 'let m = mo(1e999)\n', (3, 1, 'mo takes one natural number')),
     (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, 1, 2))\n', (3, 29, 'argument 2 of elem must be a label')),
     # matrix arguments: a missing one is reported as missing, as for every constructor
     (QUANTUM_HEAD, 'let p = predicate()\n', (2, 1, 'predicate is missing argument 1')),

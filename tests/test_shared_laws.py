@@ -12,7 +12,8 @@ eigensolves.
 
 The maps of each instance live in ``MAPS`` here rather than in the
 records: only the substitution laws below draw maps, and neither the
-selftest nor the scenario table does.
+selftest nor the scenario table does.  Likewise its states live in
+``STATES``: only the duality square and the embedding checks draw them.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from effectlogic import classical, config, quantum, stochastic
 from effectlogic.instances import INSTANCES, check_laws
+from effectlogic.scenario import Element
 
 
 def random_function(rng, x, y):
@@ -42,6 +44,23 @@ MAPS = {
                 lambda x: quantum.Isometry(np.eye(x)),
                 lambda g, f: quantum.Isometry(g.matrix @ f.matrix),
                 lambda f: quantum.Isometry(np.kron(np.eye(2), f.matrix)), True),
+}
+
+
+def classical_measure(p, x):
+    side = classical.measure(p, x.index)
+    return Element(classical.doubled_carrier(p.carrier), classical.tagged_to_index(p.carrier, side))
+
+
+# per instance: a random state on a space, measure(p, state) on the doubled
+# space, and xi(state), the probability the state gives each predicate; a
+# classical state is a point, whose probabilities are 0 or 1
+STATES = {
+    "classical": (lambda rng, x: Element(x, int(rng.integers(x.size))), classical_measure,
+                  lambda x: lambda q: float(q.holds(x.index))),
+    "stochastic": (lambda rng, x: stochastic.Distribution(x, rng.dirichlet(np.ones(x.size))),
+                   stochastic.measure_distribution, stochastic.xi_state),
+    "quantum": (quantum.random_density, quantum.measure_density, quantum.xi_state),
 }
 
 
@@ -133,6 +152,21 @@ def check_truth_is_a_unit(name: str, rng, cases: int, tol: float) -> None:
         assert record.close(m.test_then(m.truth(space), q), q, tol)
 
 
+def check_duality_square(name: str, rng, cases: int, tol: float) -> None:
+    """xi(measure(p, s))(q) = xi(s)(char_p*(q)): measuring and then asking q
+    is asking the question q pulled back along the classifier of p."""
+    record = INSTANCES[name]
+    random_state, measure, xi = STATES[name]
+    for _ in range(cases):
+        space = record.space(int(rng.integers(1, 6)))
+        p, state = record.random_predicate(rng, space), random_state(rng, space)
+        doubled = 2 * space if name == "quantum" else classical.doubled_carrier(space)
+        q = record.random_predicate(rng, doubled)
+        lhs = xi(measure(p, state))(q)
+        rhs = xi(state)(record.module.substitute(record.classifier(p), q))
+        assert abs(lhs - rhs) < tol  # exact for points: both sides are 0 or 1
+
+
 with_scalars = [name for name, record in INSTANCES.items()
                 if hasattr(record.module, "probability_multiply")]
 
@@ -164,6 +198,11 @@ def test_substitution_is_a_functor_into_effect_modules(name):
 @pytest.mark.parametrize("name", INSTANCES)
 def test_truth_is_a_unit_of_both_tests(name):
     check_truth_is_a_unit(name, np.random.default_rng(103), 50, 1e-12)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_duality_square(name):
+    check_duality_square(name, np.random.default_rng(61), 100, config.EPS)
 
 
 def apply_all(module, f, p, q) -> dict:

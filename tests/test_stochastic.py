@@ -3,8 +3,8 @@
 Dyadic rationals with small denominators are exact in double precision,
 so the algebraic law suite runs with exact equality on them; everything
 involving arbitrary reals uses the package tolerance.  Independent
-oracles: explicit summation loops, and two-sided evaluation of the
-expectation pairing.
+oracles: explicit summation loops, and the expectation pairing read back
+through ``xi_inverse``; the duality square is in ``test_shared_laws.py``.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ from effectlogic.stochastic import (
     measure_distribution,
     multiplication_not_preserved_witness,
     orthosum,
-    predicate_as_map,
     probability_multiply,
     substitute,
     truth,
@@ -269,18 +268,6 @@ class TestExpectationDuality:
             xi_inverse(c, [0.5, 0.4])
         with pytest.raises(ValueError):
             xi_inverse(c, [1.5, -0.5])
-
-    def test_duality_square(self):
-        """Measuring then asking equals asking the pulled-back question."""
-        r = rng()
-        for _ in range(100):
-            c = range_finset(int(r.integers(1, 6)))
-            m = random_dist(r, c)
-            p = random_fuzzy(r, c)
-            psi = random_fuzzy(r, sto.doubled_carrier(c))
-            lhs = xi_state(measure_distribution(p, m))(psi)
-            rhs = xi_state(m)(substitute(predicate_as_map(p), psi))
-            assert abs(lhs - rhs) < config.POST_EPS
 
 
 class TestMultiplicationGap:
