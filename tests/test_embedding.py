@@ -10,9 +10,13 @@ kernel, the isometry with columns e_f(x); these agree within the README's
 
 ``EMBEDDINGS`` describes each pair once, and one check runs every shared
 row of the scenario table (``scenario.OPERATIONS``) on both sides, with
-comprehension and measurement, in each drawn example.
+comprehension and measurement, in each drawn example.  Two more checks per
+pair hold that the embedding is a map of effect algebras (truth, falsity
+and the complement) that keeps each state's probabilities (``xi``).
 """
 
+import functools
+import itertools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -119,28 +123,31 @@ def inclusion(name: str, p):
     return out[1] if isinstance(out, tuple) else out
 
 
+def embed(pair, value):
+    """The image of a value along the pair's embedding; a scalar is itself."""
+    images = EMBEDDINGS[pair].images
+    return images[type(value)](value) if type(value) in images else value
+
+
 def check_commutes(pair, case: dict) -> None:
     """Embedding the result of each shared operation, of comprehension and
     of measurement gives the result on the embedded operands."""
     source, target = pair
     e = EMBEDDINGS[pair]
-
-    def embed(value):
-        return e.images[type(value)](value) if type(value) in e.images else value
-
+    lift = functools.partial(embed, pair)
     for kind in covered(pair):
         if kind == "orthosum" and e.undecided(case["p"], case["q"]):
             continue  # definedness may go either way within the tolerance
         args = [case[name] for name in OPERANDS[kind]]
         image = scenario.OPERATIONS[source][kind][1](*args)
-        direct = scenario.OPERATIONS[target][kind][1](*map(embed, args))
+        direct = scenario.OPERATIONS[target][kind][1](*map(lift, args))
         assert (image is None) == (direct is None), kind
-        assert image is None or e.same(embed(image), direct), kind
+        assert image is None or e.same(lift(image), direct), kind
     p, state = case["p"], case["state"]
-    assert e.same(embed(inclusion(source, p)), inclusion(target, embed(p)))
+    assert e.same(lift(inclusion(source, p)), inclusion(target, lift(p)))
     if state is not None:
-        measured = STATES[target][1](embed(p), embed(state))
-        assert e.same(embed(STATES[source][1](p, state)), measured)
+        measured = STATES[target][1](lift(p), lift(state))
+        assert e.same(lift(STATES[source][1](p, state)), measured)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,6 +160,29 @@ def test_classical_into_stochastic(case):
 @given(fuzzy_case())
 def test_stochastic_into_quantum(case):
     check_commutes(("stochastic", "quantum"), case)
+
+
+@pytest.mark.parametrize("pair", EMBEDDINGS, ids="-".join)
+def test_truth_and_falsity_embed(pair):
+    # an embedding is a map of effect algebras: it keeps the unit and the zero
+    src, tgt = (INSTANCES[name] for name in pair)
+    for n, constant in itertools.product(range(1, 7), ("truth", "falsity")):
+        image = embed(pair, getattr(src.module, constant)(src.space(n)))
+        assert EMBEDDINGS[pair].same(image, getattr(tgt.module, constant)(tgt.space(n)))
+
+
+@pytest.mark.parametrize("pair", EMBEDDINGS, ids="-".join)
+def test_complement_and_probability_commute(pair):
+    # an embedded state gives an embedded predicate the probability the state
+    # gives the predicate (exact for points, whose probabilities are 0 or 1)
+    (source, target), same = pair, EMBEDDINGS[pair].same
+    src, tgt, rng = INSTANCES[source], INSTANCES[target], np.random.default_rng(67)
+    for _ in range(200):
+        space = src.space(int(rng.integers(1, 7)))
+        p, state = src.random_predicate(rng, space), STATES[source][0](rng, space)
+        assert same(embed(pair, src.complement(p)), tgt.complement(embed(pair, p)))
+        gap = STATES[target][2](embed(pair, state))(embed(pair, p)) - STATES[source][2](state)(p)
+        assert abs(gap) <= (0.0 if same is exact else TOL)
 
 
 @pytest.mark.parametrize("pair", EMBEDDINGS, ids="-".join)

@@ -693,12 +693,13 @@ PARSE_ERRORS = [
     (CLASSICAL_HEAD, 'let s = subset(X, 1, 2, a)\n', (3, 9, 'argument 2 of subset must be a label')),
     (CLASSICAL_HEAD, 'let s = subset(X, a, 1, 2)\n', (3, 9, 'argument 3 of subset must be a label')),
     (CLASSICAL_HEAD, 'query states(1, 2)\n', (3, 7, 'states takes 1 arguments, got 2')),
-    (CLASSICAL_HEAD, 'let m = mo(1e999)\n', (3, 1, 'mo takes one natural number')),
     (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, 1, 2))\n', (3, 29, 'argument 2 of elem must be a label')),
     # matrix arguments: a missing one is reported as missing, as for every constructor
     (QUANTUM_HEAD, 'let p = predicate()\n', (2, 1, 'predicate is missing argument 1')),
     (QUANTUM_HEAD, 'let p = effect(ket0)\n', (2, 1, 'argument 1 of effect must be a matrix')),
     (QUANTUM_HEAD, 'let d = density(ket0)\n', (2, 1, 'argument 1 of density must be a matrix')),
+    # an overflowing literal reads as inf, which is no natural number
+    (CLASSICAL_HEAD, 'let m = mo(1e999)\n', (3, 1, 'mo takes one natural number')),
 ]
 
 
