@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=9,
-                        help="decimal digits for reported reals (default 9)")
+                        help="decimal digits for reported reals, 0 to 17 (default 9)")
     common.add_argument("--eps", type=float, default=None,
                         help="set the structural tolerance EPS (POST_EPS becomes "
                              "max(10 EPS, 1e-8))")
@@ -122,8 +122,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "eps", None) is not None:
-        config.set_epsilon(args.eps)
+    if not 0 <= args.precision <= 17:
+        print(f"--precision must be between 0 and 17, got {args.precision}", file=sys.stderr)
+        return 2
+    if args.eps is not None:
+        try:
+            config.set_epsilon(args.eps)
+        except ValueError as exc:
+            print(f"--eps: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "run":
         try:

@@ -16,6 +16,8 @@ it must only be used once, before any evaluation starts (the command line
 runner does exactly that).
 """
 
+import math
+
 EPS = 1e-9
 POST_EPS = 1e-8
 
@@ -23,7 +25,8 @@ POST_EPS = 1e-8
 def set_epsilon(eps: float) -> None:
     """Override the structural tolerance (and scale POST_EPS with it)."""
     global EPS, POST_EPS
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
+    # every check reads "x > EPS", which is false for every x at nan and inf
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {eps}")
     EPS = eps
     POST_EPS = max(10.0 * eps, 1e-8)

@@ -4,11 +4,12 @@ The eigendecomposition, operator square roots, the semidefinite (Loewner)
 order, traces and kernel bases.  Matrices are numpy arrays of complex128.
 Every eigenvector solve goes through ``eigen_hermitian``: LAPACK's
 ``numpy.linalg.eigh``, eigenvalues descending, the solver's own vectors,
-which square roots (functions of the matrix) take as they come.  Checks
-that read only the extremes of a spectrum take its eigenvalues alone from
-``numpy.linalg.eigvalsh``.  Kernel bases are output, and golden outputs
-depend on them, so ``kernel_basis`` alone fixes a gauge, from the kernel
-itself, in which any correct solver gives the same columns.
+which square roots (functions of the matrix) take as they come.  The root
+functions take a decomposition, so a caller that keeps one solves once.
+Checks that read only the extremes of a spectrum take its eigenvalues
+alone from ``numpy.linalg.eigvalsh``.  Kernel bases are output, and golden
+outputs depend on them, so ``kernel_basis`` alone fixes a gauge, from the
+kernel itself, in which any correct solver gives the same columns.
 """
 
 from __future__ import annotations
@@ -105,28 +106,30 @@ def trace(a) -> complex:
     return complex(np.trace(a))
 
 
-def sqrt_psd(a) -> np.ndarray:
-    """The positive square root of a positive semidefinite matrix.
+def sqrt_psd(eig: HermitianEigen) -> np.ndarray:
+    """The positive square root of a positive semidefinite matrix, from its
+    decomposition ``eigen_hermitian(a)``.
 
     Eigenvalues below ``EPS`` are treated as exact zeros (the square root
     would amplify eigenvalue dust from 1e-16 to 1e-8); anything below -EPS
     raises ``NotPsdError``.  Projections are reproduced sharply, since
     their spectrum is fixed by the square root.
     """
-    values, vecs = eigen_hermitian(a)
+    values, vecs = eig
     if values.size and values[-1] < -config.EPS:
         raise NotPsdError(f"eigenvalue {values[-1]} below -{config.EPS}")
     return _spectral_sqrt(vecs, np.where(values < config.EPS, 0.0, values))
 
 
-def complementary_sqrts(a) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(A) and sqrt(I - A) of an effect A, from one decomposition.
+def complementary_sqrts(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(A) and sqrt(I - A) of an effect A, from its decomposition
+    ``eigen_hermitian(A)``.
 
     Eigenvalues within ``EPS`` of 0 or 1 are snapped there, so each pair
     of squared roots sums to exactly 1 and the stacked roots form an
     isometry that loses no probability mass.
     """
-    values, vecs = eigen_hermitian(a)
+    values, vecs = eig
     tol = config.EPS
     values = np.where(values < tol, 0.0, np.where(1.0 - values < tol, 1.0, values))
     return _spectral_sqrt(vecs, values), _spectral_sqrt(vecs, 1.0 - values)

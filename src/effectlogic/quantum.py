@@ -13,7 +13,12 @@ the validated operator inside one.
 
 Each value is validated once, from its eigenvalues alone, and not at all
 when its bounds follow from bounds already checked: spec(I - A) is
-1 - spec(A) and spec(s A) is s spec(A).
+1 - spec(A) and spec(s A) is s spec(A).  Four results are never
+diagonalised for that reason: a substitution f* A f, the tests
+sqrt(A) B sqrt(A) and sqrt(A) B sqrt(A) + I - A, and a measured density
+matrix.  A predicate is decomposed at most once, on first use
+(``QPredicate.spectrum``); its square roots, its classifier and its
+spectral probability all read that one decomposition.
 
 Substitution along an isometry f is conjugation f* A f of the left part;
 its scalar case (f a unit column vector) is the probability of the
@@ -33,6 +38,7 @@ import numpy as np
 
 from . import config
 from .linalg import (
+    HermitianEigen,
     as_matrix,
     complementary_sqrts,
     dagger,
@@ -73,13 +79,13 @@ def _check_effect_spectrum(vals: np.ndarray) -> None:
         raise ValueError(f"effect spectrum [{vals[-1]}, {vals[0]}] leaves [0, 1]")
 
 
-def _implied_effect(m: np.ndarray) -> Effect:
-    """An effect whose checks are implied, by checks already made on the
-    spectrum it derives from or by a spectrum known in advance, so it is
-    not diagonalised."""
-    effect = object.__new__(Effect)
-    object.__setattr__(effect, "matrix", _frozen(m))
-    return effect
+def _implied(m: np.ndarray, cls=Effect):
+    """An ``Effect`` (or a ``DensityMatrix``) whose checks are implied, by
+    checks already made on the values it derives from or by a spectrum
+    known in advance, so it is not diagonalised."""
+    value = object.__new__(cls)
+    object.__setattr__(value, "matrix", _frozen(m))
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +115,13 @@ class QPredicate:
     @cached_property
     def second(self) -> Effect:
         """The right part I - A, an effect because A is one."""
-        return _implied_effect(np.eye(self.dim) - self.first.matrix)
+        return _implied(np.eye(self.dim) - self.first.matrix)
+
+    @cached_property
+    def spectrum(self) -> HermitianEigen:
+        """The one decomposition of the left part, taken on first use; the
+        square roots and the spectral probability all read it."""
+        return eigen_hermitian(self.first.matrix)
 
     def perp(self) -> "QPredicate":
         return QPredicate(self.second)
@@ -122,11 +134,11 @@ class QPredicate:
 
 
 def truth(n: int) -> QPredicate:
-    return QPredicate(_implied_effect(np.eye(n)))  # spectrum {1}
+    return QPredicate(_implied(np.eye(n)))  # spectrum {1}
 
 
 def falsity(n: int) -> QPredicate:
-    return QPredicate(_implied_effect(np.zeros((n, n))))  # spectrum {0}
+    return QPredicate(_implied(np.zeros((n, n))))  # spectrum {0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +228,7 @@ def orthosum(p: QPredicate, q: QPredicate):
     if vals.size and vals[0] > 1.0 + config.EPS:
         return None
     _check_effect_spectrum(vals)
-    return QPredicate(_implied_effect(s))
+    return QPredicate(_implied(s))
 
 
 def probability_multiply(s: float, p: QPredicate) -> QPredicate:
@@ -224,17 +236,19 @@ def probability_multiply(s: float, p: QPredicate) -> QPredicate:
     if not -config.EPS <= s <= 1.0 + config.EPS:
         raise ValueError("scalar must lie in [0, 1]")
     s = min(max(s, 0.0), 1.0)
-    return QPredicate(_implied_effect(s * p.first.matrix))
+    return QPredicate(_implied(s * p.first.matrix))
 
 
 def substitute(f: Isometry, q: QPredicate) -> QPredicate:
     """Pull a predicate back along an isometry by conjugating its left part.
 
     The right part follows: f* (I - A) f = I - f* A f, because f* f = I.
+    The result is not diagonalised: its spectrum lies in [0, 1] up to
+    terms of the size of EPS, as A's does, because |f* f - I| <= EPS.
     """
     if f.target_dim != q.dim:
         raise ValueError("predicate dimension must match the isometry target")
-    return QPredicate(Effect(dagger(f.matrix) @ q.first.matrix @ f.matrix))
+    return QPredicate(_implied(dagger(f.matrix) @ q.first.matrix @ f.matrix))
 
 
 def born_probability(x: PureState, p: QPredicate) -> float:
@@ -259,7 +273,7 @@ def born_spectral(x: PureState, p: QPredicate) -> float:
     """
     if p.dim != x.dim:
         raise ValueError("dimension mismatch")
-    values, vectors = eigen_hermitian(p.first.matrix)
+    values, vectors = p.spectrum
     overlaps = np.abs(dagger(vectors) @ x.vector) ** 2
     return float(np.real(np.sum(values * overlaps)))
 
@@ -271,10 +285,10 @@ def char_sqrt(p: QPredicate) -> Isometry:
 
     The 2n x n stack of the two component square roots; pulling the
     canonical left predicate of the doubled space back along it recovers
-    the predicate.  Both roots come from one decomposition of the left
-    part A = V L V*, as V sqrt(L) V* and V sqrt(1 - L) V*.
+    the predicate.  Both roots come from the predicate's one decomposition
+    A = V L V*, as V sqrt(L) V* and V sqrt(1 - L) V*.
     """
-    return Isometry(np.vstack(complementary_sqrts(p.first.matrix)))
+    return Isometry(np.vstack(complementary_sqrts(p.spectrum)))
 
 
 def omega_predicate(n: int) -> QPredicate:
@@ -283,24 +297,26 @@ def omega_predicate(n: int) -> QPredicate:
         raise ValueError("n must be >= 1")
     first = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     first[:n, :n] = np.eye(n)
-    return QPredicate(_implied_effect(first))  # a projector: spectrum {0, 1}
+    return QPredicate(_implied(first))  # a projector: spectrum {0, 1}
 
 
 def test_andthen(p: QPredicate, q: QPredicate) -> QPredicate:
-    """Sequential test "p and then q": the left part sqrt(A) B sqrt(A)."""
+    """Sequential test "p and then q": the left part sqrt(A) B sqrt(A),
+    which lies between 0 and A <= I, so it is not diagonalised."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    r = sqrt_psd(p.first.matrix)
-    return QPredicate(Effect(hermitian_part(r @ q.first.matrix @ r)))
+    r = sqrt_psd(p.spectrum)
+    return QPredicate(_implied(hermitian_part(r @ q.first.matrix @ r)))
 
 
 def test_then(p: QPredicate, q: QPredicate) -> QPredicate:
-    """Guarded test "if p then q": the left part sqrt(A) B sqrt(A) + (I - A)."""
+    """Guarded test "if p then q": the left part sqrt(A) B sqrt(A) + (I - A),
+    which lies between I - A and I, so it is not diagonalised."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    r = sqrt_psd(p.first.matrix)
+    r = sqrt_psd(p.spectrum)
     out = r @ q.first.matrix @ r + np.eye(p.dim) - p.first.matrix
-    return QPredicate(Effect(hermitian_part(out)))
+    return QPredicate(_implied(hermitian_part(out)))
 
 
 def measure_pure(p: QPredicate, x: PureState) -> PureState:
@@ -318,13 +334,14 @@ def measure_pure(p: QPredicate, x: PureState) -> PureState:
 def measure_density(p: QPredicate, rho: DensityMatrix) -> DensityMatrix:
     """Conjugate a density matrix by the classifier of p.
 
-    Trace is preserved (cyclically, the classifier's two sides cancel),
-    so the result is a density matrix on the doubled space.
+    Trace is preserved (cyclically, the classifier's two sides cancel) and
+    so is positivity, so the result is a density matrix on the doubled
+    space without a check of its own.
     """
     if p.dim != rho.dim:
         raise ValueError("dimension mismatch")
     v = char_sqrt(p).matrix
-    return DensityMatrix(v @ rho.matrix @ dagger(v))
+    return _implied(v @ rho.matrix @ dagger(v), DensityMatrix)
 
 
 def xi_state(rho: DensityMatrix) -> Callable[[QPredicate], float]:

@@ -11,10 +11,10 @@ list of ``query`` lines.  The grammar is deliberately small:
 
 where EXPR is a name, a number, a constructor call, or a matrix literal
 ``matrix R C`` followed by R rows of ``a+bi`` entries.  Query arguments
-may nest constructor and test calls; every leaf name must be declared (or
-built in) and every nested query call must have its arity.  Declarations
-are evaluated at load time so that invariant violations are reported with
-their line number.
+may nest constructor and test calls, at most ``MAX_DEPTH`` deep; every
+leaf name must be declared (or built in) and every nested query call must
+have its arity.  Declarations are evaluated at load time so that
+invariant violations are reported with their line number.
 
 Each instance is a static table of built-ins, constructors and query
 operations (``OPERATIONS``, whose shared rows come from its record in
@@ -151,6 +151,11 @@ def _tokenize(text: str, line: int) -> list[tuple]:
     return tokens
 
 
+# Calls nested in one expression; parsing, name checks and evaluation all
+# recurse once per level, so a deeper expression is refused when parsed.
+MAX_DEPTH = 100
+
+
 class _ExprParser:
     def __init__(self, tokens, line):
         self.tokens = tokens
@@ -167,7 +172,7 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def parse_expr(self):
+    def parse_expr(self, depth: int = 1):
         tok = self.take()
         if tok[0] == "num":
             return float(tok[1])
@@ -175,6 +180,8 @@ class _ExprParser:
             raise ScenarioError(f"expected a name or number, found {tok[1]!r}", self.line, tok[2])
         nxt = self.peek()
         if nxt and nxt[0] == "punct" and nxt[1] == "(":
+            if depth > MAX_DEPTH:
+                raise ScenarioError(f"calls nest deeper than {MAX_DEPTH}", self.line, tok[2])
             self.take()
             args = []
             nxt = self.peek()
@@ -187,7 +194,7 @@ class _ExprParser:
                     args.extend(nxt[1])
                     self.i += 2  # the run and the ')' it closes with
                     break
-                args.append(self.parse_expr())
+                args.append(self.parse_expr(depth + 1))
                 sep = self.take()
                 if sep[0] != "punct" or sep[1] not in ",)":
                     raise ScenarioError(f"expected ',' or ')', found {sep[1]!r}", self.line, sep[2])

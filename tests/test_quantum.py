@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effectlogic import config, quantum, scenario
-from effectlogic.linalg import dagger, hermitian_part, sqrt_psd
+from effectlogic.linalg import dagger, eigen_hermitian, hermitian_part, sqrt_psd
 from effectlogic.quantum import (
     KET0,
     KET1,
@@ -48,6 +48,7 @@ from effectlogic.quantum import (
     xi_state,
 )
 from effectlogic.quantum import test_andthen as andthen_op
+from effectlogic.quantum import test_then as then_op
 
 
 def rng():
@@ -154,7 +155,7 @@ class TestToleranceContract:
         # bound: admitted, and its spectral deviation is no larger
         delta = np.zeros((n, n))
         delta[0, 1] = delta[1, 0] = 0.9 * getattr(config, bound) / np.sqrt(2)
-        f = Isometry(sqrt_psd(np.eye(n) + delta))
+        f = Isometry(sqrt_psd(eigen_hermitian(np.eye(n) + delta)))
         pulled = substitute(f, truth(n))
         assert np.max(np.abs(pulled.first.matrix - np.eye(n))) < config.EPS
 
@@ -229,13 +230,45 @@ class TestSolverCounts:
         assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.second.matrix)) < 1e-12
 
     def test_substitute_conjugates_once(self, solver_calls):
+        # f* A f is an effect because A is one and f is an isometry
         p = QPredicate.from_effect(self.M)
         f = random_isometry(rng(), 3, 2)
         before = dict(solver_calls)
         pulled = substitute(f, p)
-        assert solver_calls == {"eigh": before["eigh"], "eigvalsh": before["eigvalsh"] + 1}
+        assert solver_calls == before
         v = f.matrix
         assert np.array_equal(pulled.first.matrix, dagger(v) @ p.first.matrix @ v)
+
+    @pytest.mark.parametrize("test", [andthen_op, then_op])
+    def test_tests_decompose_p_alone(self, solver_calls, test):
+        # one eigh for sqrt(A); the result lies in [0, A] or [I - A, I]
+        p = QPredicate.from_effect(self.M)
+        q = QPredicate.from_effect(np.eye(3) / 4)
+        before = dict(solver_calls)
+        test(p, q)
+        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
+
+    def test_measure_density_checks_no_result(self, solver_calls):
+        # one eigh for the classifier, and no eigvalsh of the 2n x 2n result
+        p = QPredicate.from_effect(self.M)
+        rho = random_density(rng(), 3)
+        before = dict(solver_calls)
+        out = measure_density(p, rho)
+        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
+        assert out.dim == 6 and not out.matrix.flags.writeable
+
+    def test_one_decomposition_per_predicate(self, solver_calls):
+        p = QPredicate.from_effect(self.M)
+        q = QPredicate.from_effect(np.eye(3) / 4)
+        rho = random_density(rng(), 3)
+        x = random_pure_state(rng(), 3)
+        before = dict(solver_calls)
+        andthen_op(p, q)
+        then_op(p, q)
+        measure_density(p, rho)
+        measure_pure(p, x)
+        born_spectral(x, p)
+        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
 
     def test_perp_swaps_without_solving(self, solver_calls):
         p = QPredicate.from_effect(self.M)
@@ -260,6 +293,49 @@ class TestSolverCounts:
         assert np.array_equal(p.second.matrix, np.diag([0.0, 0.75]))
         with pytest.raises(ValueError, match="dimension"):
             QPredicate(a, Effect(np.eye(3)))
+
+
+class TestImpliedBounds:
+    """The four results built without a check of their own pass that check
+    when it is run on them, at the edges of what their inputs admit:
+    effects with eigenvalues exactly 0 and 1, rank-deficient density
+    matrices, and isometries whose V*V deviates from I by just under EPS
+    (kept as given) or past it (snapped to their polar factor)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        excess=st.one_of(st.floats(0.5, 0.99), st.floats(1.5, 9.0)),
+    )
+    def test_results_pass_their_own_checks(self, n, data, seed, excess):
+        gen = np.random.default_rng(seed)
+        u = random_isometry(gen, n, n).matrix
+        weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+        spectra = [data.draw(st.lists(weight, min_size=n, max_size=n)) for _ in range(2)]
+        # p is diagonal in u, with its first eigenvalue 1; q in another basis
+        spectra[0][0] = 1.0
+        w = random_isometry(gen, n, n).matrix
+        p, q = (QPredicate.from_effect(b @ np.diag(d) @ dagger(b))
+                for b, d in zip((u, w), spectra))
+        # f = u[:, :k] stretched along p's eigenvalue-1 vector, then rotated:
+        # f* f - I has Frobenius norm excess * EPS; below 1 f is kept and
+        # f* A f reaches 1 + excess * EPS, above it f is snapped
+        k = data.draw(st.integers(1, n))
+        stretch = np.ones(k)
+        stretch[0] = np.sqrt(1.0 + excess * config.EPS)
+        f = Isometry(u[:, :k] @ np.diag(stretch) @ random_isometry(gen, k, k).matrix)
+        # a mixture of two pure states: rank at most 2, so it has zero
+        # eigenvalues from n = 3 on (from n = 2 at mix 0 or 1)
+        x, y = (random_pure_state(gen, n).vector.reshape(-1, 1) for _ in range(2))
+        mix = data.draw(st.floats(0.0, 1.0))
+        rho = DensityMatrix(mix * (x @ dagger(x)) + (1 - mix) * (y @ dagger(y)))
+        for out in (substitute(f, p), andthen_op(p, q), then_op(p, q), andthen_op(q, p),
+                    then_op(q, p)):
+            Effect(out.first.matrix)
+        DensityMatrix(measure_density(p, rho).matrix)
+        DensityMatrix(measure_density(q, rho).matrix)
 
 
 class TestOrthosum:

@@ -392,6 +392,48 @@ class TestCommandLine:
         assert cli.main(["run", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,message", [
+        (["--eps", "0"], "--eps: tolerance must be positive and finite, got 0.0"),
+        (["--eps", "-1"], "--eps: tolerance must be positive and finite, got -1.0"),
+        (["--eps", "nan"], "--eps: tolerance must be positive and finite, got nan"),
+        (["--eps", "inf"], "--eps: tolerance must be positive and finite, got inf"),
+        (["--precision", "-1"], "--precision must be between 0 and 17, got -1"),
+        (["--precision", "18"], "--precision must be between 0 and 17, got 18"),
+    ])
+    def test_option_out_of_range_is_a_usage_error(self, tmp_path, capsys, option, message):
+        # at nan or inf every "x > EPS" check is false, and the orthosum of
+        # diag(3, 0.5) with itself would be admitted
+        from effectlogic import config
+
+        path = tmp_path / "sc.scn"
+        path.write_text("instance quantum\nlet m = matrix 2 2\n3+0i 0+0i\n0+0i 0.5+0i\n"
+                        "query orthosum(predicate(m), predicate(m))\n")
+        saved = config.EPS, config.POST_EPS
+        try:
+            assert cli.main(["run", str(path), *option]) == 2
+        finally:
+            config.EPS, config.POST_EPS = saved
+        assert capsys.readouterr() == ("", message + "\n")
+
+    @pytest.mark.parametrize("depth,code", [(scenario.MAX_DEPTH, 0),
+                                            (scenario.MAX_DEPTH + 1, 2), (3000, 2)])
+    def test_nesting_bound(self, tmp_path, capsys, depth, code):
+        # born(ket0, predicate(...predicate(m)...)) nests depth calls
+        expr = "m"
+        for _ in range(depth - 1):
+            expr = f"predicate({expr})"
+        path = tmp_path / "deep.scn"
+        path.write_text("instance quantum\nlet m = matrix 2 2\n0.5+0i 0+0i\n0+0i 0.25+0i\n"
+                        f"query born(ket0, {expr})\n")
+        assert cli.main(["run", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (out, err) == ("0: born = 0.500000000\n", "")
+        else:
+            col = len("query born(ket0, ") + 1 + len("predicate(") * (scenario.MAX_DEPTH - 1)
+            assert (out, err) == (
+                "", f"parse error: line 5, col {col}: calls nest deeper than 100\n")
+
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["run", "/no/such/file.scn"]) == 2
         capsys.readouterr()
@@ -451,6 +493,18 @@ class TestCommandLine:
             "5: measure = {L.sunny: 0.450000000, L.rainy: 0.150000000, "
             "R.sunny: 0.050000000, R.rainy: 0.350000000}\n"
             "6: comprehension = {sunny}\n"
+        )
+
+    def test_polarisation_scenario_golden(self, capsys):
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "polarisation.scn"
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "0: born = 0.000000000\n"
+            "1: born = 0.500000000\n"
+            "2: born = 0.250000000\n"
+            "3: born = 0.750000000\n"
         )
 
     def test_three_doors_scenario_golden(self, capsys):
@@ -660,6 +714,149 @@ TEXT_LAYER_REPORT = (
     '0.16000000000000003+0.080000000000000016i 0.12+0i 0.12+0.059999999999999998i 0.16000000000000003+0i\n'
 )
 
+# Each declared predicate is used by several kinds of query, so a value
+# kept from one query is read again by the next.  The report keeps the
+# rounding residue of each product (the e-17 and e-19 entries), so it pins
+# the floating-point operations as well as the values.
+REUSE_SCENARIO = (
+    'instance quantum\n'
+    'let a = matrix 3 3\n'
+    '0.5+0i 0.1-0.2i 0+0i\n'
+    '0.1+0.2i 0.3+0i 0.1+0i\n'
+    '0+0i 0.1+0i 0.6+0i\n'
+    'let b = matrix 3 3\n'
+    '0.7+0i 0+0.1i 0.2+0i\n'
+    '0-0.1i 0.4+0i 0+0i\n'
+    '0.2+0i 0+0i 0.25+0i\n'
+    'let s = matrix 3 3\n'
+    '0.5+0i 0.5+0i 0+0i\n'
+    '0.5+0i 0.5+0i 0+0i\n'
+    '0+0i 0+0i 1+0i\n'
+    'let m = matrix 3 3\n'
+    '0.5+0i 0.1+0i 0+0.05i\n'
+    '0.1+0i 0.3+0i 0+0i\n'
+    '0-0.05i 0+0i 0.2+0i\n'
+    'let v = matrix 3 2\n'
+    '0.6+0i 0+0i\n'
+    '0.8+0i 0+0i\n'
+    '0+0i 1+0i\n'
+    'let p = predicate(a)\n'
+    'let q = predicate(b)\n'
+    'let r = predicate(s)\n'
+    'let x = ket(0.6, 0, 0.8)\n'
+    'let rho = density(m)\n'
+    'let f = isometry(v)\n'
+    'query born(x, p)\n'
+    'query born(x, q)\n'
+    'query born(x, r)\n'
+    'query andthen(p, q)\n'
+    'query andthen(q, p)\n'
+    'query then(p, q)\n'
+    'query then(q, r)\n'
+    'query born(x, andthen(r, p))\n'
+    'query orthosum(multiply(0.5, p), multiply(0.5, q))\n'
+    'query orthosum(p, q)\n'
+    'query multiply(0.3, q)\n'
+    'query substitute(f, p)\n'
+    'query substitute(f, r)\n'
+    'query measure(p, x)\n'
+    'query measure(q, rho)\n'
+    'query measure(r, rho)\n'
+    'query measure(p, rho)\n'
+    'query measure(q, x)\n'
+    'query measure(r, x)\n'
+    'query comprehension(r)\n'
+    'query comprehension(p)\n'
+)
+
+REUSE_REPORT = (
+    '0: born = 0.564000000\n'
+    '1: born = 0.604000000\n'
+    '2: born = 0.820000000\n'
+    '3: andthen = 3 3\n'
+    '0.315004603+0i 0.0655608396-0.0775506913i 0.104720671+0.00612361795i\n'
+    '0.0655608396+0.0775506913i 0.115273674+0i 0.04225059+0.0270625115i\n'
+    '0.104720671-0.00612361795i 0.04225059-0.0270625115i 0.149721723+0i\n'
+    '4: andthen = 3 3\n'
+    '0.328439842+0i 0.0608044769-0.0629181318i 0.106945947+0.00538017975i\n'
+    '0.0608044769+0.0629181318i 0.103382126+0i 0.0396720211+0.0185798752i\n'
+    '0.106945947-0.00538017975i 0.0396720211-0.0185798752i 0.148178032+0i\n'
+    '5: then = 3 3\n'
+    '0.815004603+0i -0.0344391604+0.122449309i 0.104720671+0.00612361795i\n'
+    '-0.0344391604-0.122449309i 0.815273674+0i -0.05774941+0.0270625115i\n'
+    '0.104720671-0.00612361795i -0.05774941-0.0270625115i 0.549721723+0i\n'
+    '6: then = 3 3\n'
+    '0.6620191+0i 0.254956515-0.0507637106i -0.06315783+0.00947185578i\n'
+    '0.254956515+0.0507637106i 0.800048527+0i 0.0490658696+0.00234100349i\n'
+    '-0.06315783-0.00947185578i 0.0490658696-0.00234100349i 0.987932373+0i\n'
+    '7: born = 0.522000000\n'
+    '8: orthosum = 3 3\n'
+    '0.6+0i 0.05-0.05i 0.1+0i\n'
+    '0.05+0.05i 0.35+0i 0.05+0i\n'
+    '0.1+0i 0.05+0i 0.425+0i\n'
+    '9: orthosum = undefined\n'
+    '10: multiply = 3 3\n'
+    '0.21+0i 0+0.03i 0.06+0i\n'
+    '0-0.03i 0.12+0i 0+0i\n'
+    '0.06+0i 0+0i 0.075+0i\n'
+    '11: substitute = 2 2\n'
+    '0.468+1.40998324e-17i 0.08+0i\n'
+    '0.08+0i 0.6+0i\n'
+    '12: substitute = 2 2\n'
+    '0.98+0i 0+0i\n'
+    '0+0i 1+0i\n'
+    '13: measure = 6 1\n'
+    '0.405121489+0.00741758013i\n'
+    '0.114437701+0.101268421i\n'
+    '0.613546517-0.00556318509i\n'
+    '0.41199953+0.00561188i\n'
+    '-0.0956378828-0.0795702367i\n'
+    '0.500728621-0.00420891i\n'
+    '14: measure = 6 6\n'
+    '0.341804824+8.67361738e-19i 0.0519384885+0.0416428735i 0.078032882+0.0201581365i 0.207702875+4.5063187e-05i 0.0633559823-0.0160107389i -0.0333823324+0.0356461307i\n'
+    '0.0519384885-0.0416428735i 0.12097401+0i 0.0115560782-0.00264290754i 0.0331103194-0.00386364213i 0.142567531-0.0103787827i -0.00619046793+0.00811578849i\n'
+    '0.078032882-0.0201581365i 0.0115560782+0.00264290754i 0.0572211655-8.13151629e-20i 0.026853616-0.0128406044i 0.0100682516-0.00900197314i 0.0698594671+0.0103337195i\n'
+    '0.207702875-4.5063187e-05i 0.0331103194+0.00386364213i 0.026853616+0.0128406044i 0.142404127+0i 0.0403798641-0.038262895i -0.0627793405+0.0227294588i\n'
+    '0.0633559823+0.0160107389i 0.142567531+0.0103787827i 0.0100682516+0.00900197314i 0.0403798641+0.038262895i 0.181216386+6.21417307e-19i -0.0146744089-0.00287686285i\n'
+    '-0.0333823324-0.0356461307i -0.00619046793-0.00811578849i 0.0698594671-0.0103337195i -0.0627793405-0.0227294588i -0.0146744089+0.00287686285i 0.156379487-5.13738046e-19i\n'
+    '15: measure = 6 6\n'
+    '0.25+0i 0.25+0i 0+0.025i 0.05+0i -0.05+0i 0+0i\n'
+    '0.25+0i 0.25+0i 0+0.025i 0.05+0i -0.05+0i 0+0i\n'
+    '0-0.025i 0-0.025i 0.2+0i 0-0.025i 0+0.025i 0+0i\n'
+    '0.05+0i 0.05+0i 0+0.025i 0.15+0i -0.15+0i 0+0i\n'
+    '-0.05+0i -0.05+0i 0-0.025i -0.15+0i 0.15+0i 0+0i\n'
+    '0+0i 0+0i 0+0i 0+0i 0+0i 0+0i\n'
+    '16: measure = 6 6\n'
+    '0.254978251-3.46944695e-18i 0.0740912007-0.083265046i 0.00527278821+0.0269561986i 0.229032936-0.0206640804i 0.0557669606+0.00341500639i -0.00821687148+0.028625273i\n'
+    '0.0740912007+0.083265046i 0.10371306+3.46944695e-18i 0.0174374232+0.00508633167i 0.0558664649+0.0330704072i 0.114599264+0.0205539885i -0.00739711606+0.00184410056i\n'
+    '0.00527278821-0.0269561986i 0.0174374232-0.00508633167i 0.121308689-6.77626358e-21i 0.0016888069-0.0339692925i 0.0138084297+0.00286737929i 0.0957831375+0.000110091965i\n'
+    '0.229032936+0.0206640804i 0.0558664649-0.0330704072i 0.0016888069+0.0339692925i 0.236901312-8.67361738e-19i 0.016162907+0.0742485563i -0.00516341564+0.0221647025i\n'
+    '0.0557669606-0.00341500639i 0.114599264-0.0205539885i 0.0138084297-0.00286737929i 0.016162907-0.0742485563i 0.202102921-6.5097853e-19i -0.0210607565-0.000594712844i\n'
+    '-0.00821687148-0.028625273i -0.00739711606-0.00184410056i 0.0957831375-0.000110091965i -0.00516341564-0.0221647025i -0.0210607565+0.000594712844i 0.080995767-8.44795686e-21i\n'
+    '17: measure = 6 1\n'
+    '0.615537428-2.03696258e-20i\n'
+    '-1.32617354e-16-0.0341982425i\n'
+    '0.473227382+1.52772194e-20i\n'
+    '0.196677377+4.89785921e-18i\n'
+    '-5.4161165e-17+0.0524969906i\n'
+    '0.595451153-3.67339441e-18i\n'
+    '18: measure = 6 1\n'
+    '0.3+0i\n'
+    '0.3+0i\n'
+    '0.8+0i\n'
+    '0.3+0i\n'
+    '-0.3+0i\n'
+    '0+0i\n'
+    '19: comprehension = 3 2\n'
+    '0+0i 0.707106781+0i\n'
+    '0+0i 0.707106781+0i\n'
+    '1+0i 0+0i\n'
+    '20: comprehension = 3 0\n'
+    '\n'
+    '\n'
+    '\n'
+)
+
 STOCHASTIC_HEAD = 'instance stochastic\nlet X = carrier(a, b)\nlet Y = carrier(u, v)\nlet p = fuzzy(X, 0.5, 1)\n'
 CLASSICAL_HEAD = 'instance classical\nlet X = carrier(a, b)\n'
 QUANTUM_HEAD = 'instance quantum\n'
@@ -737,6 +934,9 @@ class TestTextLayer:
         # density measures at dims 2 and 4, a trivial-kernel comprehension,
         # -0.0 and 1e-300 entries, precision 0 and 17
         assert run(parse_scenario(TEXT_LAYER_SCENARIO)) == (TEXT_LAYER_REPORT, True)
+
+    def test_golden_report_of_reused_predicates(self):
+        assert run(parse_scenario(REUSE_SCENARIO)) == (REUSE_REPORT, True)
 
     @pytest.mark.parametrize("head,line,expected", PARSE_ERRORS)
     def test_parse_error_positions(self, head, line, expected):
