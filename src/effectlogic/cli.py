@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=9,
-                        help="decimal digits for reported reals, 0 to 17 (default 9)")
+                        help=f"decimal digits for reported reals, 0 to "
+                             f"{scenario.MAX_PRECISION} (default 9)")
     common.add_argument("--eps", type=float, default=None,
                         help="set the structural tolerance EPS (POST_EPS becomes "
                              "max(10 EPS, 1e-8))")
@@ -122,8 +123,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not 0 <= args.precision <= 17:
-        print(f"--precision must be between 0 and 17, got {args.precision}", file=sys.stderr)
+    if not 0 <= args.precision <= scenario.MAX_PRECISION:
+        print(f"--precision must be between 0 and {scenario.MAX_PRECISION}, "
+              f"got {args.precision}", file=sys.stderr)
         return 2
     if args.eps is not None:
         try:

@@ -13,10 +13,12 @@ the validated operator inside one.
 
 Each value is validated once, from its eigenvalues alone, and not at all
 when its bounds follow from bounds already checked: spec(I - A) is
-1 - spec(A) and spec(s A) is s spec(A).  Four results are never
-diagonalised for that reason: a substitution f* A f, the tests
-sqrt(A) B sqrt(A) and sqrt(A) B sqrt(A) + I - A, and a measured density
-matrix.  A predicate is decomposed at most once, on first use
+1 - spec(A) and spec(s A) is s spec(A).  A measured density matrix is
+not diagonalised for that reason, nor are the tests sqrt(A) B sqrt(A)
+and sqrt(A) B sqrt(A) + I - A while A <= I.  A substitution f* A f is
+checked, as is a test on an A admitted above I: their inputs may exceed
+[0, 1] by EPS, and unchecked results would drift further at each step of
+a chain.  A predicate is decomposed at most once, on first use
 (``QPredicate.spectrum``); its square roots, its classifier and its
 spectral probability all read that one decomposition.
 
@@ -243,12 +245,12 @@ def substitute(f: Isometry, q: QPredicate) -> QPredicate:
     """Pull a predicate back along an isometry by conjugating its left part.
 
     The right part follows: f* (I - A) f = I - f* A f, because f* f = I.
-    The result is not diagonalised: its spectrum lies in [0, 1] up to
-    terms of the size of EPS, as A's does, because |f* f - I| <= EPS.
+    The result is checked: f* f may exceed I by EPS, so without a check a
+    chain of substitutions would leave [0, 1] a little further each step.
     """
     if f.target_dim != q.dim:
         raise ValueError("predicate dimension must match the isometry target")
-    return QPredicate(_implied(dagger(f.matrix) @ q.first.matrix @ f.matrix))
+    return QPredicate(Effect(dagger(f.matrix) @ q.first.matrix @ f.matrix))
 
 
 def born_probability(x: PureState, p: QPredicate) -> float:
@@ -300,23 +302,38 @@ def omega_predicate(n: int) -> QPredicate:
     return QPredicate(_implied(first))  # a projector: spectrum {0, 1}
 
 
+def _tested(p: QPredicate, m: np.ndarray) -> QPredicate:
+    """The result of a test on p, with left part ``m``.
+
+    While A <= I, the spectrum of sqrt(A) B sqrt(A) lies in the hull of
+    B's and 0, and that of sqrt(A) B sqrt(A) + I - A in the hull of B's,
+    I - A's and 1, so the result is no further outside [0, 1] than its
+    inputs and is not diagonalised.  An A admitted above I (by up to EPS)
+    would widen those hulls at each step of a chain, so its results are
+    checked.  A top eigenvalue within the solver's rounding of 1, dim
+    units in the last place, counts as 1.
+    """
+    values = p.spectrum.eigenvalues
+    if values.size and values[0] > 1.0 + p.dim * np.finfo(float).eps:
+        return QPredicate(Effect(m))
+    return QPredicate(_implied(m))
+
+
 def test_andthen(p: QPredicate, q: QPredicate) -> QPredicate:
-    """Sequential test "p and then q": the left part sqrt(A) B sqrt(A),
-    which lies between 0 and A <= I, so it is not diagonalised."""
+    """Sequential test "p and then q": the left part sqrt(A) B sqrt(A)."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     r = sqrt_psd(p.spectrum)
-    return QPredicate(_implied(hermitian_part(r @ q.first.matrix @ r)))
+    return _tested(p, hermitian_part(r @ q.first.matrix @ r))
 
 
 def test_then(p: QPredicate, q: QPredicate) -> QPredicate:
-    """Guarded test "if p then q": the left part sqrt(A) B sqrt(A) + (I - A),
-    which lies between I - A and I, so it is not diagonalised."""
+    """Guarded test "if p then q": the left part sqrt(A) B sqrt(A) + (I - A)."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     r = sqrt_psd(p.spectrum)
     out = r @ q.first.matrix @ r + np.eye(p.dim) - p.first.matrix
-    return QPredicate(_implied(hermitian_part(out)))
+    return _tested(p, hermitian_part(out))
 
 
 def measure_pure(p: QPredicate, x: PureState) -> PureState:

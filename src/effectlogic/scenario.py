@@ -154,6 +154,8 @@ def _tokenize(text: str, line: int) -> list[tuple]:
 # Calls nested in one expression; parsing, name checks and evaluation all
 # recurse once per level, so a deeper expression is refused when parsed.
 MAX_DEPTH = 100
+# Decimal digits a reported real may ask for; 17 round-trips a double.
+MAX_PRECISION = 17
 
 
 class _ExprParser:
@@ -292,8 +294,9 @@ def parse_scenario(text: str) -> Scenario:
                 if tok[0] != "num" or not linalg._INT_RE.fullmatch(tok[1]):
                     raise ScenarioError("precision must be an integer", lineno, tok[2])
                 precision = int(tok[1])
-                if not 0 <= precision <= 17:
-                    raise ScenarioError("precision must be between 0 and 17", lineno, tok[2])
+                if not 0 <= precision <= MAX_PRECISION:
+                    raise ScenarioError(f"precision must be between 0 and {MAX_PRECISION}",
+                                        lineno, tok[2])
             parser.finish()
             if not isinstance(expr, CallExpr):
                 raise ScenarioError("a query must be KIND(ARGS)", lineno)

@@ -230,23 +230,31 @@ class TestSolverCounts:
         assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.second.matrix)) < 1e-12
 
     def test_substitute_conjugates_once(self, solver_calls):
-        # f* A f is an effect because A is one and f is an isometry
         p = QPredicate.from_effect(self.M)
         f = random_isometry(rng(), 3, 2)
         before = dict(solver_calls)
         pulled = substitute(f, p)
-        assert solver_calls == before
+        assert solver_calls == {"eigh": before["eigh"], "eigvalsh": before["eigvalsh"] + 1}
         v = f.matrix
         assert np.array_equal(pulled.first.matrix, dagger(v) @ p.first.matrix @ v)
 
     @pytest.mark.parametrize("test", [andthen_op, then_op])
     def test_tests_decompose_p_alone(self, solver_calls, test):
-        # one eigh for sqrt(A); the result lies in [0, A] or [I - A, I]
+        # one eigh for sqrt(A); with A <= I the result needs no check
         p = QPredicate.from_effect(self.M)
         q = QPredicate.from_effect(np.eye(3) / 4)
         before = dict(solver_calls)
         test(p, q)
         assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
+
+    @pytest.mark.parametrize("test", [andthen_op, then_op])
+    def test_tests_check_results_of_p_above_one(self, solver_calls, test):
+        # A admitted above I by less than EPS: the result is checked
+        p = QPredicate.from_effect(np.diag([1.0 + 0.5 * config.EPS, 0.5, 0.0]))
+        q = QPredicate.from_effect(np.eye(3) / 4)
+        before = dict(solver_calls)
+        test(p, q)
+        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"] + 1}
 
     def test_measure_density_checks_no_result(self, solver_calls):
         # one eigh for the classifier, and no eigvalsh of the 2n x 2n result
@@ -296,11 +304,12 @@ class TestSolverCounts:
 
 
 class TestImpliedBounds:
-    """The four results built without a check of their own pass that check
-    when it is run on them, at the edges of what their inputs admit:
-    effects with eigenvalues exactly 0 and 1, rank-deficient density
-    matrices, and isometries whose V*V deviates from I by just under EPS
-    (kept as given) or past it (snapped to their polar factor)."""
+    """Results of substitute, the tests and measure_density, some built
+    without a check of their own, pass that check when it is run on them,
+    at the edges of what their inputs admit: effects with eigenvalues
+    exactly 0 and 1, rank-deficient density matrices, isometries whose V*V
+    deviates from I by just under EPS (kept as given) or past it (snapped
+    to their polar factor), and inputs admitted just outside [0, 1]."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -334,8 +343,34 @@ class TestImpliedBounds:
         for out in (substitute(f, p), andthen_op(p, q), then_op(p, q), andthen_op(q, p),
                     then_op(q, p)):
             Effect(out.first.matrix)
+        chain = q
+        for _ in range(5):
+            chain = andthen_op(p, then_op(p, chain))
+            Effect(chain.first.matrix)
         DensityMatrix(measure_density(p, rho).matrix)
         DensityMatrix(measure_density(q, rho).matrix)
+        DensityMatrix(measure_density(omega_predicate(n), measure_density(p, rho)).matrix)
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.01])
+    @pytest.mark.parametrize("step", ["andthen", "then", "substitute"])
+    def test_chains_from_inputs_past_one_do_not_drift(self, restore_config, eps, step):
+        # A = (1 + e) I, B = diag(1 + e, -e) and f* f = diag(1 + e, 1), each
+        # admitted within EPS of [0, 1]; one step already reaches 1 + 2e or
+        # -2e.  Each link of a chain passes Effect's own check or is
+        # refused, as it is when every result is checked.
+        config.set_epsilon(eps)
+        e = 0.99 * eps
+        p = QPredicate.from_effect(np.diag([1.0 + e, 1.0 + e]))
+        f = Isometry(np.diag([np.sqrt(1.0 + e), 1.0]))
+        link = {"andthen": lambda r: andthen_op(p, r), "then": lambda r: then_op(p, r),
+                "substitute": lambda r: substitute(f, r)}[step]
+        out = QPredicate.from_effect(np.diag([1.0 + e, -e]))
+        for _ in range(10):
+            try:
+                out = link(out)
+            except ValueError:
+                break
+            Effect(out.first.matrix)
 
 
 class TestOrthosum:
