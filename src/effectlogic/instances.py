@@ -49,7 +49,7 @@ INSTANCES: dict[str, Instance] = {
     "quantum": Instance(
         quantum, quantum.QPredicate, quantum.Isometry,
         classifier=lambda p: quantum.char_sqrt(p),
-        close=lambda p, q, tol: _within(p.first.matrix, q.first.matrix, tol),
+        close=lambda p, q, tol: _within(p.matrix, q.matrix, tol),
         random_predicate=lambda rng, n: quantum.random_predicate(rng, n),
         space=lambda n: n,
         complement=lambda p: p.perp(),

@@ -60,7 +60,7 @@ class HermitianEigen(NamedTuple):
 
 def _checked_hermitian(a) -> np.ndarray:
     a = as_matrix(a)
-    if hermitian_deviation(a) > config.EPS:
+    if not hermitian_deviation(a) <= config.EPS:  # NaN fails it
         raise ValueError(f"matrix is not Hermitian within {config.EPS}")
     return a
 
@@ -250,12 +250,16 @@ def parse_matrix(text: str) -> np.ndarray:
     found = len(lines) - 1
     if found != rows and not (found == 0 and cols == 0 and rows > 0):
         raise ValueError(f"expected {rows} rows, found {found}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        entries = line.split()
+    # every row is counted before the matrix is allocated
+    split = [line.split() for line in lines[1:]]
+    for i, entries in enumerate(split):
         if len(entries) != cols:
             raise ValueError(f"row {i} has {len(entries)} entries, expected {cols}")
-        out[i] = _parse_row(line, entries)
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for i, entries in enumerate(split):
+        out[i] = _parse_row(lines[i + 1], entries)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries must be finite")
     return out
 
 

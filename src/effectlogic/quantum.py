@@ -1,15 +1,14 @@
 """The finite-dimensional Hilbert-space instance of branching predicates.
 
-A predicate on C^n is a pair of effects summing to the identity; the pair
-is a single map C^n -> C^n (+) C^n once the doubled space is read as
-C^{2n} with the first n coordinates forming the left summand.  That
-coordinate convention is normative for every stacked matrix produced
-here.  The law [id, id] . p = id fixes the right part as I - A, so a
-predicate stores its left effect A alone.  Every operation that takes or
-returns a predicate (sums, scalings, substitution, the tests "and then"
-and "then", Born probabilities, the state functional) works on
-``QPredicate``, as the other two instances work on theirs; ``Effect`` is
-the validated operator inside one.
+A predicate on C^n is a map C^n -> C^n (+) C^n, with the doubled space
+read as C^{2n} and its first n coordinates forming the left summand.
+That coordinate convention is normative for every stacked matrix produced
+here.  The law [id, id] . p = id makes a predicate a pair (A, I - A) of
+effects, 0 <= A <= I, so ``QPredicate`` holds the left part A alone and
+checks it once.  Every operation that takes or returns a predicate (sums,
+scalings, substitution, the tests "and then" and "then", Born
+probabilities, the state functional) works on ``QPredicate``, as the
+other two instances work on theirs.
 
 Each value is validated once, from its eigenvalues alone, and not at all
 when its bounds follow from bounds already checked: spec(I - A) is
@@ -32,9 +31,9 @@ density matrices).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,9 +59,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_effect_spectrum(vals: np.ndarray) -> None:
+    # written so that a NaN eigenvalue fails it
+    if vals.size and not -config.EPS <= vals[-1] <= vals[0] <= 1.0 + config.EPS:
+        raise ValueError(f"effect spectrum [{vals[-1]}, {vals[0]}] leaves [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
-class Effect:
-    """A Hermitian matrix between 0 and the identity in the semidefinite order."""
+class QPredicate:
+    """A predicate stored as its left part, an effect 0 <= A <= I; the
+    right part is I - A."""
 
     matrix: np.ndarray
 
@@ -75,72 +81,41 @@ class Effect:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def spectrum(self) -> HermitianEigen:
+        """The one decomposition of the left part, taken on first use; the
+        square roots and the spectral probability all read it."""
+        return eigen_hermitian(self.matrix)
 
-def _check_effect_spectrum(vals: np.ndarray) -> None:
-    if vals.size and (vals[-1] < -config.EPS or vals[0] > 1.0 + config.EPS):
-        raise ValueError(f"effect spectrum [{vals[-1]}, {vals[0]}] leaves [0, 1]")
+    def perp(self) -> "QPredicate":
+        """The predicate with left part I - A, an effect because A is one."""
+        return _implied(np.eye(self.dim) - self.matrix)
+
+    @classmethod
+    def from_effect(cls, a: "QPredicate | np.ndarray") -> "QPredicate":
+        """A predicate as it is, or the checked predicate with left part ``a``."""
+        return a if isinstance(a, cls) else cls(a)
 
 
-def _implied(m: np.ndarray, cls=Effect):
-    """An ``Effect`` (or a ``DensityMatrix``) whose checks are implied, by
-    checks already made on the values it derives from or by a spectrum
+# the old name, until perfbench/tracing.py stops resolving it
+Effect = QPredicate
+
+
+def _implied(m: np.ndarray, cls=QPredicate):
+    """A ``QPredicate`` (or a ``DensityMatrix``) whose checks are implied,
+    by checks already made on the values it derives from or by a spectrum
     known in advance, so it is not diagonalised."""
     value = object.__new__(cls)
     object.__setattr__(value, "matrix", _frozen(m))
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class QPredicate:
-    """A predicate stored as its left effect A; the right part is I - A.
-
-    ``QPredicate(a, b)`` also accepts the right part, checks that the two
-    sum to the identity and keeps only ``a``.
-    """
-
-    first: Effect
-    right: InitVar[Optional[Effect]] = None
-
-    def __post_init__(self, right):
-        if right is None:
-            return
-        if self.first.dim != right.dim:
-            raise ValueError("components must share a dimension")
-        total = self.first.matrix + right.matrix
-        if np.max(np.abs(total - np.eye(self.first.dim))) > config.EPS:
-            raise ValueError("components must sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.first.dim
-
-    @cached_property
-    def second(self) -> Effect:
-        """The right part I - A, an effect because A is one."""
-        return _implied(np.eye(self.dim) - self.first.matrix)
-
-    @cached_property
-    def spectrum(self) -> HermitianEigen:
-        """The one decomposition of the left part, taken on first use; the
-        square roots and the spectral probability all read it."""
-        return eigen_hermitian(self.first.matrix)
-
-    def perp(self) -> "QPredicate":
-        return QPredicate(self.second)
-
-    @classmethod
-    def from_effect(cls, a: Effect | np.ndarray) -> "QPredicate":
-        if not isinstance(a, Effect):
-            a = Effect(a)
-        return cls(a)
-
-
 def truth(n: int) -> QPredicate:
-    return QPredicate(_implied(np.eye(n)))  # spectrum {1}
+    return _implied(np.eye(n))  # spectrum {1}
 
 
 def falsity(n: int) -> QPredicate:
-    return QPredicate(_implied(np.zeros((n, n))))  # spectrum {0}
+    return _implied(np.zeros((n, n)))  # spectrum {0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +146,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_matrix(self.matrix)
         vals = eigvals_hermitian(m)
-        if vals.size and vals[-1] < -config.EPS:
+        if vals.size and not vals[-1] >= -config.EPS:
             raise ValueError("density matrix must be positive semidefinite")
         if abs(trace(m).real - 1.0) > config.EPS:
             raise ValueError(f"trace {trace(m).real} is not 1")
@@ -225,12 +200,12 @@ def orthosum(p: QPredicate, q: QPredicate):
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    s = p.first.matrix + q.first.matrix
+    s = p.matrix + q.matrix
     vals = eigvals_hermitian(s)
     if vals.size and vals[0] > 1.0 + config.EPS:
         return None
     _check_effect_spectrum(vals)
-    return QPredicate(_implied(s))
+    return _implied(s)
 
 
 def probability_multiply(s: float, p: QPredicate) -> QPredicate:
@@ -238,7 +213,7 @@ def probability_multiply(s: float, p: QPredicate) -> QPredicate:
     if not -config.EPS <= s <= 1.0 + config.EPS:
         raise ValueError("scalar must lie in [0, 1]")
     s = min(max(s, 0.0), 1.0)
-    return QPredicate(_implied(s * p.first.matrix))
+    return _implied(s * p.matrix)
 
 
 def substitute(f: Isometry, q: QPredicate) -> QPredicate:
@@ -250,7 +225,7 @@ def substitute(f: Isometry, q: QPredicate) -> QPredicate:
     """
     if f.target_dim != q.dim:
         raise ValueError("predicate dimension must match the isometry target")
-    return QPredicate(Effect(dagger(f.matrix) @ q.first.matrix @ f.matrix))
+    return QPredicate(dagger(f.matrix) @ q.matrix @ f.matrix)
 
 
 def born_probability(x: PureState, p: QPredicate) -> float:
@@ -261,7 +236,7 @@ def born_probability(x: PureState, p: QPredicate) -> float:
     """
     if p.dim != x.dim:
         raise ValueError("dimension mismatch")
-    val = complex(np.conj(x.vector) @ (p.first.matrix @ x.vector))
+    val = complex(np.conj(x.vector) @ (p.matrix @ x.vector))
     if abs(val.imag) > config.EPS:
         raise ValueError(f"probability has imaginary part {val.imag}")
     return min(max(val.real, 0.0), 1.0)
@@ -297,9 +272,9 @@ def omega_predicate(n: int) -> QPredicate:
     """The canonical "left half" predicate on the doubled space C^{2n}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    first = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    first[:n, :n] = np.eye(n)
-    return QPredicate(_implied(first))  # a projector: spectrum {0, 1}
+    left = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    left[:n, :n] = np.eye(n)
+    return _implied(left)  # a projector: spectrum {0, 1}
 
 
 def _tested(p: QPredicate, m: np.ndarray) -> QPredicate:
@@ -315,8 +290,8 @@ def _tested(p: QPredicate, m: np.ndarray) -> QPredicate:
     """
     values = p.spectrum.eigenvalues
     if values.size and values[0] > 1.0 + p.dim * np.finfo(float).eps:
-        return QPredicate(Effect(m))
-    return QPredicate(_implied(m))
+        return QPredicate(m)
+    return _implied(m)
 
 
 def test_andthen(p: QPredicate, q: QPredicate) -> QPredicate:
@@ -324,7 +299,7 @@ def test_andthen(p: QPredicate, q: QPredicate) -> QPredicate:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     r = sqrt_psd(p.spectrum)
-    return _tested(p, hermitian_part(r @ q.first.matrix @ r))
+    return _tested(p, hermitian_part(r @ q.matrix @ r))
 
 
 def test_then(p: QPredicate, q: QPredicate) -> QPredicate:
@@ -332,7 +307,7 @@ def test_then(p: QPredicate, q: QPredicate) -> QPredicate:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     r = sqrt_psd(p.spectrum)
-    out = r @ q.first.matrix @ r + np.eye(p.dim) - p.first.matrix
+    out = r @ q.matrix @ r + np.eye(p.dim) - p.matrix
     return _tested(p, hermitian_part(out))
 
 
@@ -368,7 +343,7 @@ def xi_state(rho: DensityMatrix) -> Callable[[QPredicate], float]:
     def functional(p: QPredicate) -> float:
         if p.dim != rho.dim:
             raise ValueError("dimension mismatch")
-        val = trace(rho.matrix @ p.first.matrix)
+        val = trace(rho.matrix @ p.matrix)
         if abs(val.imag) > config.POST_EPS:
             raise ValueError("trace pairing has a nonreal value")
         return min(max(val.real, 0.0), 1.0)
@@ -380,16 +355,16 @@ def xi_state(rho: DensityMatrix) -> Callable[[QPredicate], float]:
 class ProjectiveMeasurement:
     """An n-outcome projective measurement decomposed into binary predicates.
 
-    ``components`` are the verified branch effects in outcome order;
+    ``components`` are the verified branch predicates in outcome order;
     ``predicates`` are the binary yes/no predicates whose nesting
     reproduces them.
     """
 
-    components: tuple[Effect, ...]
+    components: tuple[QPredicate, ...]
     predicates: tuple[QPredicate, ...]
 
 
-def projective_compose(projections: Sequence[Effect | np.ndarray]) -> ProjectiveMeasurement:
+def projective_compose(projections: Sequence[QPredicate | np.ndarray]) -> ProjectiveMeasurement:
     """Fold a complete family of orthogonal projections into binary tests.
 
     Requires each input to be a projection, pairwise products to vanish
@@ -398,7 +373,7 @@ def projective_compose(projections: Sequence[Effect | np.ndarray]) -> Projective
     else continue" compose to exactly the given family; the composition is
     re-derived and verified here before returning.
     """
-    mats = [p.matrix if isinstance(p, Effect) else as_matrix(p) for p in projections]
+    mats = [p.matrix if isinstance(p, QPredicate) else as_matrix(p) for p in projections]
     tol = config.POST_EPS
     if len(mats) < 2:
         raise ValueError("need at least two projections")
@@ -415,7 +390,7 @@ def projective_compose(projections: Sequence[Effect | np.ndarray]) -> Projective
     if np.max(np.abs(sum(mats) - np.eye(n))) > tol:
         raise ValueError("projections do not sum to the identity")
 
-    predicates = tuple(QPredicate.from_effect(Effect(m)) for m in mats[:-1])
+    predicates = tuple(QPredicate(m) for m in mats[:-1])
     components = []
     remainder = np.eye(n, dtype=np.complex128)
     for m in mats[:-1]:
@@ -425,24 +400,22 @@ def projective_compose(projections: Sequence[Effect | np.ndarray]) -> Projective
     for derived, given in zip(components, mats):
         if np.max(np.abs(derived - given)) > config.EPS:
             raise AssertionError("nested binary tests failed to reproduce the family")
-    return ProjectiveMeasurement(tuple(Effect(c) for c in components), predicates)
+    return ProjectiveMeasurement(tuple(QPredicate(c) for c in components), predicates)
 
 
 def predicate_from_isometry(k: Isometry) -> QPredicate:
     """The sharp predicate spanned by an isometry's image: k k* paired
     with its complement."""
-    m = k.matrix @ dagger(k.matrix)
-    return QPredicate.from_effect(Effect(hermitian_part(m)))
+    return QPredicate(hermitian_part(k.matrix @ dagger(k.matrix)))
 
 
 def comprehension(q: QPredicate) -> Isometry:
-    """The subspace where q holds outright: the kernel of the second part.
+    """The subspace where q holds outright: the kernel of the right part I - A.
 
     Returns the inclusion isometry (possibly with zero columns).  On that
-    subspace the first component acts as the identity.
+    subspace the left part acts as the identity.
     """
-    basis = kernel_basis(q.second.matrix)
-    return Isometry(basis)
+    return Isometry(kernel_basis(np.eye(q.dim) - q.matrix))
 
 
 def bifmrel_substitute(r, n) -> np.ndarray:
@@ -478,18 +451,14 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> Isometry:
     return Isometry(q)
 
 
-def random_effect(rng: np.random.Generator, n: int) -> Effect:
+def random_predicate(rng: np.random.Generator, n: int) -> QPredicate:
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = hermitian_part(m)
     vals = eigvals_hermitian(h)
     lo, hi = float(vals[-1]), float(vals[0])
     span = max(hi - lo, 1.0)
     scaled = (h - lo * np.eye(n)) / span
-    return Effect(scaled * rng.uniform(0.2, 1.0))
-
-
-def random_predicate(rng: np.random.Generator, n: int) -> QPredicate:
-    return QPredicate.from_effect(random_effect(rng, n))
+    return QPredicate(scaled * rng.uniform(0.2, 1.0))
 
 
 def random_pure_state(rng: np.random.Generator, n: int) -> PureState:
@@ -515,6 +484,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-def projector(x: PureState) -> Effect:
+def projector(x: PureState) -> QPredicate:
     v = x.vector.reshape(-1, 1)
-    return Effect(v @ dagger(v))
+    return QPredicate(v @ dagger(v))

@@ -38,7 +38,7 @@ import numpy as np
 from . import classical, effect_algebra, instances, linalg, quantum, stochastic
 from .classical import BoolPredicate, FinMap, FinSet
 from .effect_algebra import FiniteEffectAlgebra
-from .quantum import DensityMatrix, Effect, Isometry, PureState, QPredicate
+from .quantum import DensityMatrix, Isometry, PureState, QPredicate
 from .stochastic import Distribution, FuzzyPredicate, StochasticMap
 
 # Constructor argument positions read as bare labels instead of names.
@@ -401,7 +401,7 @@ class _Evaluator:
 
     def matrix(self, expr: CallExpr) -> np.ndarray:
         value = self.arg(expr, 0, (np.ndarray, QPredicate), "a matrix")
-        return value if isinstance(value, np.ndarray) else value.first.matrix
+        return value if isinstance(value, np.ndarray) else value.matrix
 
 
 def _labels(expr: CallExpr, start: int) -> tuple[str, ...]:
@@ -445,8 +445,7 @@ def _make_stochmap(ev: _Evaluator, expr: CallExpr) -> StochasticMap:
 
 
 def _make_predicate(ev: _Evaluator, expr: CallExpr) -> QPredicate:
-    value = ev.arg(expr, 0, (np.ndarray, QPredicate), "a matrix")
-    return value if isinstance(value, QPredicate) else QPredicate(Effect(value))
+    return quantum.QPredicate.from_effect(ev.arg(expr, 0, (np.ndarray, QPredicate), "a matrix"))
 
 
 # -- the three instances ------------------------------------------------------
@@ -499,8 +498,7 @@ CONSTRUCTORS: dict[str, dict[str, Callable]] = {
         "ket": lambda ev, e: PureState(np.array(ev.numbers(e, 0), dtype=np.complex128)),
         "effect": _make_predicate,
         "predicate": _make_predicate,
-        "projector": lambda ev, e: QPredicate(
-            quantum.projector(ev.arg(e, 0, PureState, "a state"))),
+        "projector": lambda ev, e: quantum.projector(ev.arg(e, 0, PureState, "a state")),
         "density": lambda ev, e: DensityMatrix(ev.matrix(e)),
         "isometry": lambda ev, e: Isometry(ev.matrix(e)),
     },
@@ -630,9 +628,7 @@ def format_value(value, prec: int) -> str:
         return report.describe(algebra)
     if isinstance(value, PureState):
         return linalg.format_matrix(value.vector.reshape(-1, 1), prec)
-    if isinstance(value, QPredicate):
-        return linalg.format_matrix(value.first.matrix, prec)
-    if isinstance(value, (DensityMatrix, Isometry)):
+    if isinstance(value, (QPredicate, DensityMatrix, Isometry)):
         return linalg.format_matrix(value.matrix, prec)
     if isinstance(value, np.ndarray):
         return linalg.format_matrix(value, prec)

@@ -31,7 +31,7 @@ from effectlogic.effect_algebra import (
 from effectlogic.instances import INSTANCES, check_laws
 from effectlogic.quantum import (
     DensityMatrix,
-    Effect,
+    QPredicate,
     measure_density,
     measure_pure,
     projective_compose,
@@ -185,7 +185,7 @@ def test_criterion_09_projective_composition():
     rng = np.random.default_rng(909)
     for _ in range(20):
         basis = random_isometry(rng, 3, 3).matrix
-        parts = [Effect(np.outer(basis[:, i], basis[:, i].conj())) for i in range(3)]
+        parts = [QPredicate(np.outer(basis[:, i], basis[:, i].conj())) for i in range(3)]
         out = projective_compose(parts)
         for derived, given in zip(out.components, parts):
             assert np.max(np.abs(derived.matrix - given.matrix)) < 1e-9

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from effectlogic import config, quantum, scenario, stochastic
 from effectlogic.classical import BoolPredicate, FinMap, range_finset
 from effectlogic.instances import INSTANCES
-from effectlogic.quantum import DensityMatrix, Effect, Isometry, QPredicate
+from effectlogic.quantum import DensityMatrix, Isometry, QPredicate
 from effectlogic.scenario import Element
 from effectlogic.stochastic import Distribution, FuzzyPredicate, StochasticMap
 from test_shared_laws import STATES
@@ -79,7 +79,7 @@ def exact(a, b) -> bool:
 # what must agree of each quantum value: a predicate's left part, an
 # isometry's image (its basis is free), and a measured state's weights
 # (measurement keeps the two branches coherent, a kernel does not)
-VIEWS = {QPredicate: lambda v: v.first.matrix,
+VIEWS = {QPredicate: lambda v: v.matrix,
          Isometry: lambda v: v.matrix @ v.matrix.conj().T,
          DensityMatrix: lambda v: np.diag(v.matrix)}
 
@@ -106,7 +106,7 @@ EMBEDDINGS = {
         Element: lambda x: stochastic.dirac(x.carrier, x.index),
     }, exact),
     ("stochastic", "quantum"): Embedding({
-        FuzzyPredicate: lambda p: QPredicate(Effect(np.diag(p.values))),
+        FuzzyPredicate: lambda p: QPredicate(np.diag(p.values)),
         StochasticMap: lambda f: Isometry(f.matrix.T),
         Distribution: lambda m: DensityMatrix(np.diag(m.weights)),
     }, close, lambda p, q: abs(np.max(p.values + q.values) - (1.0 + config.EPS)) <= TOL),

@@ -20,6 +20,7 @@ from effectlogic.linalg import (
     NotPsdError,
     dagger,
     eigen_hermitian,
+    eigvals_hermitian,
     format_matrix,
     hermitian_part,
     is_psd,
@@ -99,6 +100,13 @@ class TestEigenHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigen_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    @pytest.mark.parametrize("solve", [eigen_hermitian, eigvals_hermitian])
+    def test_rejects_entries_that_are_not_finite(self, solve, entry):
+        # a - a* is NaN there, which no tolerance admits
+        with pytest.raises(ValueError, match="not Hermitian"), np.errstate(invalid="ignore"):
+            solve(np.array([[entry, 0.0], [0.0, 0.5]]))
 
     def test_degenerate_spectrum_keeps_orthonormality(self):
         eig = eigen_hermitian(np.eye(5, dtype=complex))
@@ -302,6 +310,12 @@ class TestMatrixLiterals:
         ("2.0 1\n1\n1", "matrix size must be two integers 'rows cols', got '2.0 1'"),
         ("1 1e0\n1", "matrix size must be two integers 'rows cols', got '1 1e0'"),
         ("1_0 1", "matrix size must be two integers 'rows cols', got '1_0 1'"),
+        # entries overflowing a double read as inf
+        ("1 2\n1e999 0", "matrix entries must be finite"),
+        ("1 1\n-1e999i", "matrix entries must be finite"),
+        # every row is counted before the matrix is allocated
+        ("1 1000000000000\n1", "row 0 has 1 entries, expected 1000000000000"),
+        ("2 1000000000000\n1\n2", "row 0 has 1 entries, expected 1000000000000"),
     ])
     def test_parse_errors(self, text, message):
         with pytest.raises(ValueError) as err:

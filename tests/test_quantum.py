@@ -20,7 +20,6 @@ from effectlogic.quantum import (
     KET_NE,
     KET_NW,
     DensityMatrix,
-    Effect,
     Isometry,
     ProjectiveMeasurement,
     PureState,
@@ -55,7 +54,7 @@ def rng():
     return np.random.default_rng(1105)
 
 
-def proj(vec) -> Effect:
+def proj(vec) -> QPredicate:
     return projector(PureState(vec))
 
 
@@ -69,15 +68,15 @@ def restore_config():
 class TestTypes:
     def test_effect_spectrum_bounds(self):
         with pytest.raises(ValueError):
-            Effect(np.diag([1.5, 0.0]))
+            QPredicate(np.diag([1.5, 0.0]))
         with pytest.raises(ValueError):
-            Effect(np.diag([-0.2, 0.5]))
+            QPredicate(np.diag([-0.2, 0.5]))
 
     def test_effect_hermiticity(self):
         with pytest.raises(ValueError):
-            Effect(np.array([[0.5, 0.5], [0.0, 0.5]]))
+            QPredicate(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
-    @pytest.mark.parametrize("cls", [Effect, DensityMatrix])
+    @pytest.mark.parametrize("cls", [QPredicate, DensityMatrix])
     @pytest.mark.parametrize("matrix", [
         np.full((2, 3), 0.25),  # not square
         np.array([[0.5, 0.5], [0.0, 0.5]]),  # not Hermitian
@@ -86,9 +85,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             cls(matrix)
 
-    def test_predicate_components_sum_to_identity(self):
-        with pytest.raises(ValueError):
-            QPredicate(Effect(np.eye(2) / 2), Effect(np.eye(2) / 4))
+    @pytest.mark.parametrize("cls,message", [
+        (QPredicate, "leaves"), (DensityMatrix, "positive semidefinite")])
+    def test_nan_spectrum_is_refused(self, cls, message):
+        # finite entries and unit trace, but the Hermitian part overflows
+        # to inf and the eigenvalues are NaN, which no bound admits
+        m = np.array([[0.5, 1e308], [1e308, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                cls(m)
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
@@ -107,20 +112,20 @@ class TestTypes:
 
 class TestToleranceContract:
     def test_effect_within_eps_is_accepted(self):
-        eff = Effect(np.array([[0.5, 0.1 + 5e-10], [0.1, 0.5]]))
+        eff = QPredicate(np.array([[0.5, 0.1 + 5e-10], [0.1, 0.5]]))
         assert eff.dim == 2
 
     def test_set_epsilon_reaches_hermitian_check(self, restore_config):
         config.set_epsilon(1e-6)
-        eff = Effect(np.array([[0.5, 0.1 + 5e-7], [0.1, 0.5]]))
+        eff = QPredicate(np.array([[0.5, 0.1 + 5e-7], [0.1, 0.5]]))
         assert eff.dim == 2
 
     def test_set_epsilon_reaches_spectral_checks(self, restore_config):
         dust = np.diag([-5e-7, 0.5])
         with pytest.raises(ValueError, match="leaves"):
-            Effect(dust)
+            QPredicate(dust)
         config.set_epsilon(1e-6)
-        assert Effect(dust).dim == 2
+        assert QPredicate(dust).dim == 2
         assert DensityMatrix(np.diag([-5e-7, 1.0 + 5e-7])).dim == 2
 
     def test_isometry_admission_bound(self):
@@ -135,7 +140,7 @@ class TestToleranceContract:
         # so substituting truth stays an effect
         f = Isometry((1 + 2e-9) * np.eye(2))
         assert np.max(np.abs(f.matrix - np.eye(2))) < 1e-15
-        assert np.max(np.abs(substitute(f, truth(2)).first.matrix - np.eye(2))) < 1e-15
+        assert np.max(np.abs(substitute(f, truth(2)).matrix - np.eye(2))) < 1e-15
 
     def test_isometry_within_eps_is_kept_as_given(self):
         v = np.array([[1.0], [0.0]]) * (1 + 2e-10)
@@ -146,7 +151,7 @@ class TestToleranceContract:
         f = Isometry(np.array([[c, c], [c, -c]]))
         gram = dagger(f.matrix) @ f.matrix
         assert np.max(np.abs(gram - np.eye(2))) < 1e-15
-        assert np.max(np.abs(substitute(f, truth(2)).first.matrix - np.eye(2))) < 1e-15
+        assert np.max(np.abs(substitute(f, truth(2)).matrix - np.eye(2))) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("bound", ["EPS", "POST_EPS"])
@@ -157,7 +162,7 @@ class TestToleranceContract:
         delta[0, 1] = delta[1, 0] = 0.9 * getattr(config, bound) / np.sqrt(2)
         f = Isometry(sqrt_psd(eigen_hermitian(np.eye(n) + delta)))
         pulled = substitute(f, truth(n))
-        assert np.max(np.abs(pulled.first.matrix - np.eye(n))) < config.EPS
+        assert np.max(np.abs(pulled.matrix - np.eye(n))) < config.EPS
 
     def test_set_epsilon_reaches_projective_compose(self, restore_config):
         first = np.diag([1.0 - 5e-6, 0.0])
@@ -189,8 +194,8 @@ class TestSolverCounts:
     def test_from_effect_reads_one_spectrum(self, solver_calls):
         p = QPredicate.from_effect(self.M)
         assert solver_calls == {"eigh": 0, "eigvalsh": 1}
-        assert np.array_equal(p.second.matrix, np.eye(3) - p.first.matrix)
-        assert not p.second.matrix.flags.writeable
+        assert np.array_equal(p.perp().matrix, np.eye(3) - p.matrix)
+        assert not p.perp().matrix.flags.writeable
         assert solver_calls == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("constant", [truth, falsity, omega_predicate])
@@ -203,7 +208,7 @@ class TestSolverCounts:
         before = dict(solver_calls)
         scaled = probability_multiply(0.4, p)
         assert solver_calls == before
-        assert np.array_equal(scaled.first.matrix, 0.4 * p.first.matrix)
+        assert np.array_equal(scaled.matrix, 0.4 * p.matrix)
 
     def test_orthosum_reads_one_spectrum(self, solver_calls):
         p = QPredicate.from_effect(self.M / 2)
@@ -217,7 +222,7 @@ class TestSolverCounts:
         assert solver_calls["eigh"] == 0
 
     def test_orthosum_keeps_lower_bound(self):
-        dust = Effect(np.diag([-0.8e-9, 0.5]))
+        dust = QPredicate(np.diag([-0.8e-9, 0.5]))
         with pytest.raises(ValueError, match="leaves"):
             orthosum(QPredicate.from_effect(dust), QPredicate.from_effect(dust))
 
@@ -226,8 +231,8 @@ class TestSolverCounts:
         before = solver_calls["eigvalsh"]
         stacked = char_sqrt(p).matrix
         assert solver_calls == {"eigh": 1, "eigvalsh": before}
-        assert np.max(np.abs(stacked[:3] @ stacked[:3] - p.first.matrix)) < 1e-12
-        assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.second.matrix)) < 1e-12
+        assert np.max(np.abs(stacked[:3] @ stacked[:3] - p.matrix)) < 1e-12
+        assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.perp().matrix)) < 1e-12
 
     def test_substitute_conjugates_once(self, solver_calls):
         p = QPredicate.from_effect(self.M)
@@ -236,7 +241,7 @@ class TestSolverCounts:
         pulled = substitute(f, p)
         assert solver_calls == {"eigh": before["eigh"], "eigvalsh": before["eigvalsh"] + 1}
         v = f.matrix
-        assert np.array_equal(pulled.first.matrix, dagger(v) @ p.first.matrix @ v)
+        assert np.array_equal(pulled.matrix, dagger(v) @ p.matrix @ v)
 
     @pytest.mark.parametrize("test", [andthen_op, then_op])
     def test_tests_decompose_p_alone(self, solver_calls, test):
@@ -278,13 +283,30 @@ class TestSolverCounts:
         born_spectral(x, p)
         assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
 
+    def test_projective_parts_feed_predicate_operations(self, solver_calls):
+        # components and projectors are checked predicates already, so the
+        # probability rule and the tests read them without another check
+        basis = random_isometry(rng(), 3, 3).matrix
+        parts = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
+        components = projective_compose(parts).components
+        p = projector(PureState(basis[:, 0]))
+        x = random_pure_state(rng(), 3)
+        before = dict(solver_calls)
+        probabilities = [born_probability(x, q) for q in components]
+        assert sum(probabilities) == pytest.approx(1.0)
+        assert probabilities[0] == pytest.approx(born_probability(x, p))
+        for q in components:
+            andthen_op(q, p)
+            andthen_op(p, q)
+        assert solver_calls["eigvalsh"] == before["eigvalsh"]
+
     def test_perp_swaps_without_solving(self, solver_calls):
         p = QPredicate.from_effect(self.M)
         before = dict(solver_calls)
         flipped = p.perp()
         assert solver_calls == before
-        assert np.array_equal(flipped.first.matrix, p.second.matrix)
-        assert np.max(np.abs(flipped.second.matrix - p.first.matrix)) < 1e-15
+        assert np.array_equal(flipped.matrix, p.perp().matrix)
+        assert np.max(np.abs(flipped.perp().matrix - p.matrix)) < 1e-15
 
     @pytest.mark.parametrize("constructor", ["predicate", "effect"])
     def test_scenario_predicate_of_a_projector_reads_one_spectrum(self, solver_calls, constructor):
@@ -292,15 +314,7 @@ class TestSolverCounts:
         sc = scenario.parse_scenario(
             f"instance quantum\nlet p = {constructor}(projector(ketNE))\n")
         assert solver_calls == {"eigh": 0, "eigvalsh": 1}
-        assert np.allclose(sc.declarations["p"].first.matrix, np.full((2, 2), 0.5))
-
-    def test_pair_form_checks_and_keeps_left_part(self):
-        a = Effect(np.diag([1.0, 0.25]))
-        p = QPredicate(a, Effect(np.diag([0.0, 0.75])))
-        assert p.first is a
-        assert np.array_equal(p.second.matrix, np.diag([0.0, 0.75]))
-        with pytest.raises(ValueError, match="dimension"):
-            QPredicate(a, Effect(np.eye(3)))
+        assert np.allclose(sc.declarations["p"].matrix, np.full((2, 2), 0.5))
 
 
 class TestImpliedBounds:
@@ -342,11 +356,11 @@ class TestImpliedBounds:
         rho = DensityMatrix(mix * (x @ dagger(x)) + (1 - mix) * (y @ dagger(y)))
         for out in (substitute(f, p), andthen_op(p, q), then_op(p, q), andthen_op(q, p),
                     then_op(q, p)):
-            Effect(out.first.matrix)
+            QPredicate(out.matrix)
         chain = q
         for _ in range(5):
             chain = andthen_op(p, then_op(p, chain))
-            Effect(chain.first.matrix)
+            QPredicate(chain.matrix)
         DensityMatrix(measure_density(p, rho).matrix)
         DensityMatrix(measure_density(q, rho).matrix)
         DensityMatrix(measure_density(omega_predicate(n), measure_density(p, rho)).matrix)
@@ -356,7 +370,7 @@ class TestImpliedBounds:
     def test_chains_from_inputs_past_one_do_not_drift(self, restore_config, eps, step):
         # A = (1 + e) I, B = diag(1 + e, -e) and f* f = diag(1 + e, 1), each
         # admitted within EPS of [0, 1]; one step already reaches 1 + 2e or
-        # -2e.  Each link of a chain passes Effect's own check or is
+        # -2e.  Each link of a chain passes the predicate's own check or is
         # refused, as it is when every result is checked.
         config.set_epsilon(eps)
         e = 0.99 * eps
@@ -370,21 +384,21 @@ class TestImpliedBounds:
                 out = link(out)
             except ValueError:
                 break
-            Effect(out.first.matrix)
+            QPredicate(out.matrix)
 
 
 class TestOrthosum:
     def test_scalar_halves(self):
-        half = QPredicate.from_effect(Effect(np.eye(2) / 2))
+        half = QPredicate(np.eye(2) / 2)
         assert orthosum(half, half) is not None
-        threequarter = QPredicate.from_effect(Effect(3 * np.eye(2) / 4))
+        threequarter = QPredicate(3 * np.eye(2) / 4)
         assert orthosum(threequarter, threequarter) is None
 
 
 class TestBornProbability:
     def test_amplitude_squared(self):
         r = rng()
-        p0 = QPredicate.from_effect(proj(KET0))
+        p0 = proj(KET0)
         for _ in range(50):
             x = random_pure_state(r, 2)
             assert born_probability(x, p0) == pytest.approx(abs(x.vector[0]) ** 2)
@@ -399,7 +413,7 @@ class TestBornProbability:
         norm = np.linalg.norm(v)
         assume(norm > 1e-3)
         x = PureState(v / norm)
-        p0 = QPredicate.from_effect(proj(KET0))
+        p0 = proj(KET0)
         assert born_probability(x, p0) == pytest.approx(abs(x.vector[0]) ** 2, abs=1e-12)
 
     def test_truth_is_certain(self):
@@ -413,7 +427,7 @@ class TestBornProbability:
     def test_two_routes_agree_inside_a_gauge_cluster(self, small):
         # the eigenvalues share one gauge cluster; the spectral route must
         # still weight each by the overlap with its own eigenvector
-        p = QPredicate(Effect(np.diag(small)))
+        p = QPredicate(np.diag(small))
         for k in range(len(small)):
             x = PureState(np.eye(len(small))[k])
             assert abs(born_spectral(x, p) - born_probability(x, p)) < 1e-15
@@ -421,13 +435,13 @@ class TestBornProbability:
 
 class TestClassifier:
     def test_projection_pair_stacks_itself(self):
-        p = QPredicate.from_effect(proj(KET_NE))
+        p = proj(KET_NE)
         stacked = char_sqrt(p).matrix
-        assert np.max(np.abs(stacked[:2] - p.first.matrix)) < 1e-9
-        assert np.max(np.abs(stacked[2:] - p.second.matrix)) < 1e-9
+        assert np.max(np.abs(stacked[:2] - p.matrix)) < 1e-9
+        assert np.max(np.abs(stacked[2:] - p.perp().matrix)) < 1e-9
 
     def test_scalar_half_pair(self):
-        p = QPredicate.from_effect(Effect(np.eye(2) / 2))
+        p = QPredicate(np.eye(2) / 2)
         stacked = char_sqrt(p).matrix
         assert np.allclose(stacked[:2], np.eye(2) / np.sqrt(2))
         assert np.allclose(stacked[2:], np.eye(2) / np.sqrt(2))
@@ -436,29 +450,29 @@ class TestClassifier:
 class TestOmega:
     def test_blocks(self):
         omega = omega_predicate(1)
-        assert np.allclose(omega.first.matrix, np.diag([1.0, 0.0]))
-        assert np.allclose(omega.second.matrix, np.diag([0.0, 1.0]))
+        assert np.allclose(omega.matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(omega.perp().matrix, np.diag([0.0, 1.0]))
 
     def test_components_are_projections(self):
         for n in (1, 2, 3):
             omega = omega_predicate(n)
-            for eff in (omega.first.matrix, omega.second.matrix):
+            for eff in (omega.matrix, omega.perp().matrix):
                 assert np.allclose(eff @ eff, eff)
                 assert np.allclose(eff, dagger(eff))
 
 
 class TestDynamicTests:
     def test_filter_composition_quarter(self):
-        diagonal = QPredicate(proj(KET_NE))
-        vertical = QPredicate(proj(KET1))
+        diagonal = proj(KET_NE)
+        vertical = proj(KET1)
         seq = andthen_op(diagonal, vertical)
-        assert np.allclose(seq.first.matrix, np.full((2, 2), 0.25))
+        assert np.allclose(seq.matrix, np.full((2, 2), 0.25))
 
     def test_noncommutative(self):
-        a = QPredicate(proj(KET0))
-        b = QPredicate(proj(KET_NE))
-        ab = andthen_op(a, b).first.matrix
-        ba = andthen_op(b, a).first.matrix
+        a = proj(KET0)
+        b = proj(KET_NE)
+        ab = andthen_op(a, b).matrix
+        ba = andthen_op(b, a).matrix
         assert np.max(np.abs(ab - ba)) > 0.1
 
 
@@ -471,7 +485,7 @@ class TestMeasurement:
         assert np.allclose(out.vector[3:], 0.0)
 
     def test_hand_amplitudes(self):
-        p = QPredicate.from_effect(proj(KET_NE))
+        p = proj(KET_NE)
         out = measure_pure(p, PureState(KET0))
         assert np.allclose(out.vector, [0.5, 0.5, 0.5, -0.5])
 
@@ -494,7 +508,7 @@ class TestMeasurement:
     def test_no_mass_lost_near_sharp_eigenvalues(self, near):
         # one square root drops an eigenvalue within EPS of 0 or 1;
         # the other must then take the whole mass of that eigenvector
-        p = QPredicate.from_effect(Effect(np.diag([near, 0.3])))
+        p = QPredicate(np.diag([near, 0.3]))
         out = measure_density(p, DensityMatrix(np.diag([1.0, 0.0])))
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-15
         stacked = char_sqrt(p).matrix
@@ -502,7 +516,7 @@ class TestMeasurement:
 
     def test_near_degenerate_predicate_measures_exactly(self):
         # the eigenvalues 0 and 5e-9 share one gauge cluster
-        p = QPredicate.from_effect(Effect(np.diag([0.0, 5e-9])))
+        p = QPredicate(np.diag([0.0, 5e-9]))
         out = measure_pure(p, PureState(KET0))
         assert np.max(np.abs(out.vector - [0.0, 0.0, 1.0, 0.0])) < 1e-12
 
@@ -525,7 +539,7 @@ class TestMeasurement:
 class TestStateFunctional:
     def test_point_values(self):
         rho = DensityMatrix.from_pure(PureState(KET0))
-        up = QPredicate(proj(KET0))
+        up = proj(KET0)
         assert xi_state(rho)(up) == pytest.approx(1.0)
         assert xi_state(DensityMatrix(np.eye(2) / 2))(up) == pytest.approx(0.5)
 
@@ -540,7 +554,7 @@ class TestStateFunctional:
 class TestProjectiveComposition:
     def test_binary_case_reduces(self):
         p = proj(KET0)
-        out = projective_compose([p, Effect(np.eye(2) - p.matrix)])
+        out = projective_compose([p, QPredicate(np.eye(2) - p.matrix)])
         assert isinstance(out, ProjectiveMeasurement)
         assert np.allclose(out.components[0].matrix, p.matrix)
 
@@ -549,7 +563,7 @@ class TestProjectiveComposition:
         for _ in range(25):
             basis = random_isometry(r, 3, 3).matrix
             parts = [
-                Effect(np.outer(basis[:, i], basis[:, i].conj())) for i in range(3)
+                QPredicate(np.outer(basis[:, i], basis[:, i].conj())) for i in range(3)
             ]
             out = projective_compose(parts)
             for derived, given in zip(out.components, parts):
@@ -560,25 +574,25 @@ class TestProjectiveComposition:
             projective_compose([proj(KET0), proj(KET_NE)])
 
     def test_rejects_incomplete(self):
-        half = Effect(np.diag([1.0, 0.0, 0.0]))
-        other = Effect(np.diag([0.0, 1.0, 0.0]))
+        half = QPredicate(np.diag([1.0, 0.0, 0.0]))
+        other = QPredicate(np.diag([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             projective_compose([half, other])
 
     def test_rejects_non_projection(self):
         with pytest.raises(ValueError):
-            projective_compose([Effect(np.eye(2) / 2), Effect(np.eye(2) / 2)])
+            projective_compose([QPredicate(np.eye(2) / 2), QPredicate(np.eye(2) / 2)])
 
 
 class TestIsometryPredicates:
     def test_column_gives_point_projection(self):
         k = Isometry(np.array([[1.0], [0.0]]))
         p = predicate_from_isometry(k)
-        assert np.allclose(p.first.matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(p.matrix, np.diag([1.0, 0.0]))
 
     def test_identity_gives_truth(self):
         p = predicate_from_isometry(Isometry(np.eye(3)))
-        assert np.allclose(p.first.matrix, np.eye(3))
+        assert np.allclose(p.matrix, np.eye(3))
 
     def test_components_idempotent(self):
         r = rng()
@@ -586,7 +600,7 @@ class TestIsometryPredicates:
             rows = int(r.integers(1, 6))
             cols = int(r.integers(1, rows + 1))
             p = predicate_from_isometry(random_isometry(r, rows, cols))
-            for eff in (p.first.matrix, p.second.matrix):
+            for eff in (p.matrix, p.perp().matrix):
                 assert np.max(np.abs(eff @ eff - eff)) < config.EPS
 
 
@@ -597,7 +611,7 @@ class TestComprehension:
         assert np.allclose(inc.matrix @ dagger(inc.matrix), np.eye(3))
 
     def test_partial_predicate(self):
-        q = QPredicate(Effect(np.diag([1.0, 0.5])), Effect(np.diag([0.0, 0.5])))
+        q = QPredicate(np.diag([1.0, 0.5]))
         inc = comprehension(q)
         assert inc.matrix.shape == (2, 1)
         assert np.allclose(np.abs(inc.matrix[:, 0]), [1.0, 0.0])
@@ -613,11 +627,11 @@ class TestComprehension:
             cols = int(r.integers(0, rows + 1))
             sharp = predicate_from_isometry(random_isometry(r, rows, max(cols, 1)))
             inc = comprehension(sharp)
-            assert np.max(np.abs(sharp.first.matrix @ inc.matrix - inc.matrix)) < 1e-8
+            assert np.max(np.abs(sharp.matrix @ inc.matrix - inc.matrix)) < 1e-8
             pulled = substitute(inc, sharp) if inc.matrix.shape[1] else None
             if pulled is not None:
                 assert np.max(
-                    np.abs(pulled.first.matrix - np.eye(inc.matrix.shape[1]))
+                    np.abs(pulled.matrix - np.eye(inc.matrix.shape[1]))
                 ) < 1e-8
 
     def test_basis_depends_on_subspace_only(self):
@@ -668,8 +682,8 @@ class TestMatrixRelationSubstitution:
             small = int(r.integers(1, big + 1))
             iso = random_isometry(r, big, small)
             q = random_predicate(r, big)
-            via_relation = bifmrel_substitute(dagger(iso.matrix), q.first.matrix)
-            via_predicate = substitute(iso, q).first.matrix
+            via_relation = bifmrel_substitute(dagger(iso.matrix), q.matrix)
+            via_predicate = substitute(iso, q).matrix
             assert np.max(np.abs(via_relation - via_predicate)) < 1e-10
 
     def test_diagonal_stays_in_unit_interval(self):
@@ -678,7 +692,7 @@ class TestMatrixRelationSubstitution:
             big = int(r.integers(1, 5))
             small = int(r.integers(1, big + 1))
             rel = dagger(random_isometry(r, big, small).matrix)
-            n = quantum.random_effect(r, big).matrix
+            n = quantum.random_predicate(r, big).matrix
             out = bifmrel_substitute(rel, n)
             diag = np.real(np.diag(out))
             assert np.all(diag > -config.POST_EPS)
@@ -695,6 +709,6 @@ class TestScalarAlgebra:
         r = rng()
         for _ in range(100):
             s, t = float(r.uniform()), float(r.uniform())
-            left = probability_multiply(s, QPredicate.from_effect(Effect([[t]])))
-            right = probability_multiply(t, QPredicate.from_effect(Effect([[s]])))
-            assert left.first.matrix[0, 0] == right.first.matrix[0, 0]
+            left = probability_multiply(s, QPredicate([[t]]))
+            right = probability_multiply(t, QPredicate([[s]]))
+            assert left.matrix[0, 0] == right.matrix[0, 0]

@@ -897,6 +897,13 @@ PARSE_ERRORS = [
     (QUANTUM_HEAD, 'let d = density(ket0)\n', (2, 1, 'argument 1 of density must be a matrix')),
     # an overflowing literal reads as inf, which is no natural number
     (CLASSICAL_HEAD, 'let m = mo(1e999)\n', (3, 1, 'mo takes one natural number')),
+    # matrix entries are finite, and a spectrum that overflows to NaN is no effect's
+    (QUANTUM_HEAD, 'let m = matrix 2 2\n1e308 1e308\n1e308 1e308\nlet q = predicate(m)\n',
+     (5, 1, 'effect spectrum [nan, nan] leaves [0, 1]')),
+    (QUANTUM_HEAD, 'let m = matrix 2 2\n1e999 0\n0 0.5\n', (2, 1, 'matrix entries must be finite')),
+    # rows are counted before the matrix is allocated
+    (QUANTUM_HEAD, 'let m = matrix 1 1000000000000\n1\n',
+     (2, 1, 'row 0 has 1 entries, expected 1000000000000')),
 ]
 
 
@@ -943,6 +950,15 @@ class TestTextLayer:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(head + line)
         assert (err.value.line, err.value.col, err.value.message) == expected
+
+    @pytest.mark.parametrize("head,line,expected", PARSE_ERRORS[-3:])
+    def test_hostile_matrix_literals_exit_two(self, tmp_path, capsys, head, line, expected):
+        path = tmp_path / "bad.scn"
+        path.write_text(head + line)
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "parse error: line {}, col {}: {}".format(*expected)
 
     def test_number_runs_read_like_single_numbers(self):
         sc = parse_scenario(STOCHASTIC_HEAD + "query multiply(0.5, fuzzy(X, 0.25,\t.5))\n"
