@@ -188,10 +188,11 @@ def _first_near_max(values: np.ndarray) -> np.ndarray:
 # row of whitespace-separated a+bi entries, printed to 9 significant digits.
 # A matrix with no columns has blank rows, which a reader may leave out.
 
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-_REAL_RE = re.compile(rf"^(?P<re>{_NUM})$")
+# The real-number and integer literals, shared with the scenario grammar.
+NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+INT_RE = re.compile(r"[+-]?[0-9]+")
+_FULL_RE = re.compile(rf"^(?P<re>{NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
+_REAL_RE = re.compile(rf"^(?P<re>{NUM})$")
 _IMAG_RE = re.compile(rf"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
 # Deletes the characters of plain rows.  Over those, with i read as j,
 # complex() accepts exactly the entries that parse_complex accepts and reads
@@ -231,7 +232,7 @@ def format_matrix(a, sig: int = 9) -> str:
 
 def parse_shape(rows: str, cols: str) -> tuple[int, int]:
     """The "rows cols" header of a matrix literal: non-negative integers."""
-    if not (_INT_RE.fullmatch(rows) and _INT_RE.fullmatch(cols)):
+    if not (INT_RE.fullmatch(rows) and INT_RE.fullmatch(cols)):
         raise ValueError(f"matrix size must be two integers 'rows cols', got '{rows} {cols}'")
     shape = int(rows), int(cols)
     if min(shape) < 0:

@@ -11,10 +11,11 @@ list of ``query`` lines.  The grammar is deliberately small:
 
 where EXPR is a name, a number, a constructor call, or a matrix literal
 ``matrix R C`` followed by R rows of ``a+bi`` entries.  Query arguments
-may nest constructor and test calls, at most ``MAX_DEPTH`` deep; every
-leaf name must be declared (or built in) and every nested query call must
-have its arity.  Declarations are evaluated at load time so that
-invariant violations are reported with their line number.
+may nest constructor and test calls, at most ``MAX_DEPTH`` deep.  Each
+line is checked as it is read (declared names, known calls, query arity,
+bare labels), and the first fault in reading order is reported.
+Declarations are evaluated at load time so that invariant violations are
+reported with their line number.
 
 Each instance is a static table of built-ins, constructors and query
 operations (``OPERATIONS``, whose shared rows come from its record in
@@ -94,7 +95,8 @@ class Scenario:
     queries: list[Query] = field(default_factory=list)
 
 
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![A-Za-z_.'])"
+# linalg's real number, not run into a name or a further number
+_NUM = linalg.NUM + r"(?![A-Za-z_.'])"
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<num>{_NUM})"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_.']*)"
@@ -141,31 +143,38 @@ def _tokenize(text: str, line: int) -> list[tuple]:
             if text[pos:].strip() == "":
                 break
             raise ScenarioError(f"unexpected character {text[pos:].strip()[0]!r}", line, pos + 1)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num") + 1))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct") + 1))
+        kind = m.lastgroup  # "num", "name" or "punct"
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
 
 
-# Calls nested in one expression; parsing, name checks and evaluation all
-# recurse once per level, so a deeper expression is refused when parsed.
+# Scenario numbers reach the float maximum; arithmetic that overflows gives
+# inf or NaN, which the value checks refuse, so numpy need not warn as well.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+# Calls nested in one expression; parsing and evaluation both recurse once
+# per level, so a deeper expression is refused when parsed.
 MAX_DEPTH = 100
 # Decimal digits a reported real may ask for; 17 round-trips a double.
 MAX_PRECISION = 17
 
 
 class _ExprParser:
-    def __init__(self, tokens, line):
+    """Reads one line, checking each node against the scope as it is built."""
+
+    def __init__(self, tokens, line, scope: _Evaluator):
         self.tokens = tokens
         self.line = line
         self.i = 0
+        self.scope = scope
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def at(self, value: str, kind: str = "punct") -> bool:
+        tok = self.peek()
+        return tok is not None and tok[0] == kind and tok[1] == value
 
     def take(self):
         tok = self.peek()
@@ -174,36 +183,56 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def parse_expr(self, depth: int = 1):
+    def take_operand(self):
         tok = self.take()
+        if tok[0] != "num" and tok[0] != "name":
+            raise ScenarioError(f"expected a name or number, found {tok[1]!r}", self.line, tok[2])
+        return tok
+
+    def parse_expr(self, depth: int = 1):
+        tok = self.take_operand()
         if tok[0] == "num":
             return float(tok[1])
-        if tok[0] != "name":
-            raise ScenarioError(f"expected a name or number, found {tok[1]!r}", self.line, tok[2])
-        nxt = self.peek()
-        if nxt and nxt[0] == "punct" and nxt[1] == "(":
-            if depth > MAX_DEPTH:
-                raise ScenarioError(f"calls nest deeper than {MAX_DEPTH}", self.line, tok[2])
-            self.take()
-            args = []
-            nxt = self.peek()
-            if nxt and nxt[0] == "punct" and nxt[1] == ")":
-                self.take()
-                return CallExpr(tok[1], tuple(args), self.line, tok[2])
-            while True:
-                nxt = self.peek()
-                if nxt and nxt[0] == "nums":
-                    args.extend(nxt[1])
-                    self.i += 2  # the run and the ')' it closes with
-                    break
-                args.append(self.parse_expr(depth + 1))
-                sep = self.take()
-                if sep[0] != "punct" or sep[1] not in ",)":
-                    raise ScenarioError(f"expected ',' or ')', found {sep[1]!r}", self.line, sep[2])
-                if sep[1] == ")":
-                    break
-            return CallExpr(tok[1], tuple(args), self.line, tok[2])
+        if self.at("("):
+            return self.parse_call(tok, depth)
+        if tok[1] not in self.scope.scenario.declarations and tok[1] not in self.scope.builtins:
+            raise ScenarioError(f"unknown name {tok[1]!r}", self.line, tok[2])
         return NameRef(tok[1], self.line, tok[2])
+
+    def parse_call(self, head, depth: int) -> CallExpr:
+        fn, col = head[1], head[2]
+        if depth > MAX_DEPTH:
+            raise ScenarioError(f"calls nest deeper than {MAX_DEPTH}", self.line, col)
+        arity = QUERY_ARITY.get(fn)
+        if arity is None and fn not in self.scope.constructors:
+            raise ScenarioError(f"unknown constructor {fn!r}", self.line, col)
+        labels = _LABEL_ARGS.get(fn, math.inf)  # the first label position
+        self.take()
+        args = []
+        sep = self.take() if self.at(")") else None  # an empty list closes at once
+        while sep is None or sep[1] == ",":
+            tok = self.peek()
+            if tok and tok[0] == "nums":
+                if len(args) + len(tok[1]) > labels:
+                    raise ScenarioError(f"argument {max(len(args), labels) + 1} of {fn} must be "
+                                        "a label", self.line, col)
+                args.extend(tok[1])
+                self.i += 2  # the run and the ')' it closes with
+                break
+            if len(args) < labels:
+                args.append(self.parse_expr(depth + 1))
+            else:
+                tok = self.take_operand()
+                if tok[0] == "num" or self.at("("):
+                    raise ScenarioError(f"argument {len(args) + 1} of {fn} must be a label",
+                                        self.line, col)
+                args.append(NameRef(tok[1], self.line, tok[2]))
+            sep = self.take()
+            if sep[0] != "punct" or sep[1] not in ",)":
+                raise ScenarioError(f"expected ',' or ')', found {sep[1]!r}", self.line, sep[2])
+        if arity is not None and len(args) != arity:
+            raise ScenarioError(f"{fn} takes {arity} arguments, got {len(args)}", self.line, col)
+        return CallExpr(fn, tuple(args), self.line, col)
 
     def finish(self):
         tok = self.peek()
@@ -273,36 +302,35 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioError(str(exc), lineno) from None
                 scenario.declarations[name] = value
                 continue
-            parser = _ExprParser(body, lineno)
+            parser = _ExprParser(body, lineno, evaluator)
             expr = parser.parse_expr()
             parser.finish()
-            evaluator.validate_names(expr)
             try:
-                scenario.declarations[name] = evaluator.evaluate(expr)
+                with np.errstate(**_QUIET):
+                    scenario.declarations[name] = evaluator.evaluate(expr)
             except (QueryError, ValueError, KeyError) as exc:
                 raise ScenarioError(str(exc), lineno) from None
             continue
         if head[1] == "query":
-            parser = _ExprParser(tokens[1:], lineno)
-            expr = parser.parse_expr()
+            parser = _ExprParser(tokens[1:], lineno, evaluator)
+            kind = parser.take_operand()
+            if kind[0] != "name" or not parser.at("("):
+                raise ScenarioError("a query must be KIND(ARGS)", lineno)
+            if kind[1] not in QUERY_ARITY:
+                raise ScenarioError(f"unknown query kind {kind[1]!r}", lineno, kind[2])
+            expr = parser.parse_call(kind, 1)
             precision = None
-            nxt = parser.peek()
-            if nxt and nxt[0] == "name" and nxt[1] == "precision":
+            if parser.at("precision", "name"):
                 parser.take()
                 tok = parser.take()
                 # the integer-literal rule of a matrix header
-                if tok[0] != "num" or not linalg._INT_RE.fullmatch(tok[1]):
+                if tok[0] != "num" or not linalg.INT_RE.fullmatch(tok[1]):
                     raise ScenarioError("precision must be an integer", lineno, tok[2])
                 precision = int(tok[1])
                 if not 0 <= precision <= MAX_PRECISION:
                     raise ScenarioError(f"precision must be between 0 and {MAX_PRECISION}",
                                         lineno, tok[2])
             parser.finish()
-            if not isinstance(expr, CallExpr):
-                raise ScenarioError("a query must be KIND(ARGS)", lineno)
-            if expr.fn not in QUERY_ARITY:
-                raise ScenarioError(f"unknown query kind {expr.fn!r}", lineno, expr.col)
-            evaluator.validate_names(expr)
             scenario.queries.append(Query(expr.fn, expr.args, lineno, precision))
             continue
         raise ScenarioError(f"unrecognised directive {head[1]!r}", lineno, head[2])
@@ -327,48 +355,13 @@ class _Evaluator:
         self.builtins = BUILTINS[scenario.instance]
         self.constructors = CONSTRUCTORS[scenario.instance]
 
-    # -- name validation ------------------------------------------------
-
-    def validate_names(self, expr) -> None:
-        if isinstance(expr, float):
-            return
-        if isinstance(expr, NameRef):
-            if expr.name not in self.scenario.declarations and expr.name not in self.builtins:
-                raise ScenarioError(f"unknown name {expr.name!r}", expr.line, expr.col)
-            return
-        if isinstance(expr, CallExpr):
-            if expr.fn in QUERY_ARITY:
-                if len(expr.args) != QUERY_ARITY[expr.fn]:
-                    raise ScenarioError(
-                        f"{expr.fn} takes {QUERY_ARITY[expr.fn]} arguments, got {len(expr.args)}",
-                        expr.line, expr.col,
-                    )
-            elif expr.fn not in self.constructors:
-                raise ScenarioError(f"unknown constructor {expr.fn!r}", expr.line, expr.col)
-            start_labels = _LABEL_ARGS.get(expr.fn)
-            for idx, arg in enumerate(expr.args):
-                if start_labels is not None and idx >= start_labels:
-                    if not isinstance(arg, NameRef):
-                        raise ScenarioError(
-                            f"argument {idx + 1} of {expr.fn} must be a label",
-                            expr.line, expr.col,
-                        )
-                elif not isinstance(arg, float):
-                    self.validate_names(arg)
-            return
-        raise AssertionError("unreachable expression kind")
-
-    # -- evaluation -------------------------------------------------------
-
     def evaluate(self, expr):
         if isinstance(expr, float):
             return expr
         if isinstance(expr, NameRef):
             if expr.name in self.scenario.declarations:
                 return self.scenario.declarations[expr.name]
-            if expr.name in self.builtins:
-                return self.builtins[expr.name]
-            raise QueryError(f"unknown name {expr.name!r}")
+            return self.builtins[expr.name]  # the parser has checked the name
         if isinstance(expr, CallExpr):
             make = self.constructors.get(expr.fn)
             if make is not None:
@@ -405,7 +398,7 @@ class _Evaluator:
 
 
 def _labels(expr: CallExpr, start: int) -> tuple[str, ...]:
-    # validate_names has checked that these positions hold bare labels
+    # the parser has checked that these positions hold bare labels
     return tuple(arg.name for arg in expr.args[start:])
 
 
@@ -647,10 +640,9 @@ def run(scenario: Scenario, precision: int = 9) -> tuple[str, bool]:
     for idx, query in enumerate(scenario.queries):
         digits = precision if query.precision is None else query.precision
         try:
-            value = _apply_operator(
-                scenario.instance, query.kind,
-                [evaluator.evaluate(a) for a in query.args],
-            )
+            with np.errstate(**_QUIET):
+                value = _apply_operator(scenario.instance, query.kind,
+                                        [evaluator.evaluate(a) for a in query.args])
             rendered = format_value(value, digits)
         except (QueryError, ValueError, KeyError) as exc:
             rendered = f"error: line {query.line}: {exc}"

@@ -27,7 +27,8 @@ from .classical import FinSet, doubled_carrier
 def _clamp_unit(values: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.size and (np.min(v) < -config.EPS or np.max(v) > 1.0 + config.EPS):
-        raise ValueError(f"{what} has entries outside [0, 1]: {v}")
+        i = np.argwhere((v < -config.EPS) | (v > 1.0 + config.EPS))[0]
+        raise ValueError(f"{what} has entries outside [0, 1]: entry {i.tolist()} is {v[tuple(i)]}")
     return np.clip(v, 0.0, 1.0)
 
 
@@ -83,7 +84,8 @@ class StochasticMap:
             raise ValueError("matrix shape must be source x target")
         sums = np.sum(m, axis=1)
         if m.shape[0] and np.max(np.abs(sums - 1.0)) > config.EPS:
-            raise ValueError(f"rows must sum to 1, got {sums}")
+            row = int(np.argmax(np.abs(sums - 1.0) > config.EPS))
+            raise ValueError(f"rows must sum to 1, got {sums[row]} in row {row}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

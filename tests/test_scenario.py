@@ -1,9 +1,15 @@
 """Scenario grammar, evaluation, demos and command-line behaviour."""
 
+import contextlib
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlogic import classical, cli, linalg, quantum, scenario, stochastic
 from effectlogic.quantum import PureState, QPredicate
@@ -906,6 +912,23 @@ PARSE_ERRORS = [
      (2, 1, 'row 0 has 1 entries, expected 1000000000000')),
 ]
 
+# Lines with two faults: the static checks run as the parser reads, so the
+# fault met first in reading order wins; a call's arity is checked once its
+# arguments are read, and a query line's head is read as a query kind.
+PARSE_PRECEDENCE = [
+    (CLASSICAL_HEAD, 'query foo(1)\n', (3, 7, "unknown query kind 'foo'")),
+    (STOCHASTIC_HEAD, 'query foo(zz)\n', (5, 7, "unknown query kind 'foo'")),
+    (STOCHASTIC_HEAD, 'query andthen(zz, p\n', (5, 15, "unknown name 'zz'")),
+    (STOCHASTIC_HEAD, 'query andthen(zz)\n', (5, 15, "unknown name 'zz'")),
+    (STOCHASTIC_HEAD, 'query andthen(p, p, zz)\n', (5, 21, "unknown name 'zz'")),
+    (STOCHASTIC_HEAD, 'query andthen(p, nope(zz)\n', (5, 18, "unknown constructor 'nope'")),
+    (STOCHASTIC_HEAD, 'query then(p) extra\n', (5, 7, 'then takes 2 arguments, got 1')),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(zz, 1.2.3)\n', (5, 15, "unknown name 'zz'")),
+    (CLASSICAL_HEAD, 'let s = subset(zz, 1)\n', (3, 16, "unknown name 'zz'")),
+    (CLASSICAL_HEAD, 'let s = subset(X, subset(X, zz), a\n', (3, 9, 'argument 2 of subset must be a label')),
+    (CLASSICAL_HEAD, 'let s = subset(X, a, 1.2.3)\n', (3, 9, 'argument 3 of subset must be a label')),
+]
+
 
 class TestSolverRouting:
     def test_every_eigh_goes_through_eigen_hermitian(self, monkeypatch):
@@ -945,7 +968,7 @@ class TestTextLayer:
     def test_golden_report_of_reused_predicates(self):
         assert run(parse_scenario(REUSE_SCENARIO)) == (REUSE_REPORT, True)
 
-    @pytest.mark.parametrize("head,line,expected", PARSE_ERRORS)
+    @pytest.mark.parametrize("head,line,expected", PARSE_ERRORS + PARSE_PRECEDENCE)
     def test_parse_error_positions(self, head, line, expected):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(head + line)
@@ -956,9 +979,8 @@ class TestTextLayer:
         path = tmp_path / "bad.scn"
         path.write_text(head + line)
         assert cli.main(["run", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "parse error: line {}, col {}: {}".format(*expected)
+        # the parse error alone: no numpy warning about the overflow before it
+        assert capsys.readouterr() == ("", "parse error: line {}, col {}: {}\n".format(*expected))
 
     def test_number_runs_read_like_single_numbers(self):
         sc = parse_scenario(STOCHASTIC_HEAD + "query multiply(0.5, fuzzy(X, 0.25,\t.5))\n"
@@ -1024,3 +1046,135 @@ class TestTextLayer:
         assert format_value(dist, prec) == (
             "{a: " + fixed(0.5) + ", b%: " + fixed(0.0) + ", c: " + fixed(0.5) + "}")
         assert format_value(-0.0, prec) == fixed(0.0)
+
+
+# a refused stochastic value is named by its first offending entry, so the
+# report keeps one line per query however large the value
+FORTY = ", ".join(f"x{i}" for i in range(40))
+REFUSED_STOCHASTIC = [
+    (f"let p = fuzzy(X, {', '.join(['0.5'] * 17 + ['2.0'] + ['0.5'] * 22)})",
+     "fuzzy predicate has entries outside [0, 1]: entry [17] is 2.0"),
+    ("let K = stochmap(Y, Y, 0.5, 0.5, 2, -1)",
+     "stochastic matrix has entries outside [0, 1]: entry [1, 0] is 2.0"),
+    ("let K = stochmap(Y, Y, 0.5, 0.5, 0.25, 0.25)", "rows must sum to 1, got 0.5 in row 1"),
+]
+
+
+class TestOneLinePerFault:
+    HEAD = f"instance stochastic\nlet X = carrier({FORTY})\nlet Y = carrier(u, v)\n"
+
+    @pytest.mark.parametrize("line,message", REFUSED_STOCHASTIC)
+    def test_refused_let_is_one_stderr_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "sc.scn"
+        path.write_text(self.HEAD + line + "\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: line 4, col 1: {message}\n")
+
+    @pytest.mark.parametrize("line,message", REFUSED_STOCHASTIC)
+    def test_refused_query_argument_is_one_report_line(self, tmp_path, capsys, line, message):
+        value = line.split(" = ", 1)[1]
+        path = tmp_path / "sc.scn"
+        path.write_text(self.HEAD + "query comprehension(fuzzy(Y, 1, 0))\n"
+                        f"query substitute({value}, fuzzy(Y, 1, 0))\n"
+                        "query comprehension(fuzzy(Y, 0, 1))\n")
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "0: comprehension = {u}\n"
+            f"1: substitute = error: line 5: {message}\n"
+            "2: comprehension = {v}\n", "")
+
+
+# -- no scenario text crashes the runner ---------------------------------------
+#
+# Text is drawn three ways: lines of the grammar's words in any order; the
+# shipped scenarios with a few words deleted, replaced, inserted or cut
+# off; and the shipped scenarios with nested calls over their names added
+# as queries and declarations.  Whatever is drawn, ``effectlogic run``
+# exits 0, 1 or 2 without raising, and a parse error is one line on
+# stderr.  numpy warnings are errors in this suite, so a warning that
+# would reach the user fails here too.
+
+SHIPPED = [path.read_text() for path in
+           sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))]
+CALLS = sorted({fn for table in scenario.CONSTRUCTORS.values() for fn in table}
+               | set(scenario.QUERY_ARITY))
+LEAVES = ["zz", "ket0", "hadamard", "a", "u", "sunny", "0", "1", "2", "0.5", "-1",
+          "1e308", "-1e308", "1e999"]
+WORDS = (["instance", "let", "query", "classical", "stochastic", "quantum", "matrix",
+          "precision", "1+1i", "1.2.3", "3x", "(", ")", ",", "=", "#", "%"] + CALLS + LEAVES)
+_WORD_RE = re.compile(r"[(),=]|[^\s(),=]+")
+
+
+def _line(draw) -> str:
+    words = draw(st.lists(st.sampled_from(WORDS), max_size=10))
+    return " ".join([draw(st.sampled_from(["query", "let v =", ""]))] + words)
+
+
+def _calls(instance: str, names: list[str]):
+    # calls of the scenario's instance over its names, query calls with
+    # their arity, so that most draws reach evaluation
+    def call(fn, args):
+        arity = scenario.QUERY_ARITY.get(fn)
+        return st.lists(args, min_size=arity or 0, max_size=arity or 4).map(
+            lambda xs: f"{fn}({', '.join(xs)})")
+
+    fns = sorted(scenario.CONSTRUCTORS[instance]) + sorted(scenario.OPERATIONS[instance])
+    return st.recursive(
+        st.sampled_from(names + LEAVES[1:]),
+        lambda args: st.sampled_from(fns).flatmap(lambda fn: call(fn, args)),
+        max_leaves=8)
+
+
+@st.composite
+def scenario_texts(draw):
+    way = draw(st.sampled_from(["words", "edits", "calls"]))
+    if way == "words":
+        instance = draw(st.sampled_from(["classical", "stochastic", "quantum"]))
+        lines = [f"instance {instance}"] + [_line(draw) for _ in range(draw(st.integers(0, 6)))]
+        return "\n".join(lines) + "\n"
+    text = draw(st.sampled_from(SHIPPED))
+    lines = text.splitlines()
+    if way == "calls":
+        calls = _calls(re.search(r"^instance (\w+)", text, re.M).group(1),
+                       re.findall(r"^let (\w+)", text, re.M))
+        for k in range(draw(st.integers(1, 4))):
+            expr = draw(calls)
+            lines.append(draw(st.sampled_from([f"query {expr}"] * 3 + [f"let v{k} = {expr}"])))
+        return "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        words = _WORD_RE.findall(lines[k])
+        j = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["delete", "replace", "insert", "cut", "line"]))
+        if edit == "insert" or (edit == "replace" and j == len(words)):
+            words.insert(j, draw(st.sampled_from(WORDS)))
+        elif edit == "replace":
+            words[j] = draw(st.sampled_from(WORDS))
+        elif edit == "delete":
+            del words[j:j + 1]
+        elif edit == "cut":
+            del words[j:]
+        else:
+            lines.insert(k, _line(draw))
+            continue
+        lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scenario_texts())
+def test_no_scenario_text_crashes_the_runner(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.scn"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("parse error: ")
+    else:
+        # every query reports, under its index
+        queries = sum(line.split()[:1] == ["query"] for line in text.splitlines())
+        assert len(re.findall(r"^\d+: \w+ = ", out.getvalue(), re.M)) == queries
+        assert err.getvalue() == ""
