@@ -9,37 +9,5 @@ shared laws at desk scale.
 """
 
 from . import classical, config, effect_algebra, linalg, quantum, scenario, stochastic
-from .effect_algebra import (
-    AxiomReport,
-    EAHom,
-    FiniteEffectAlgebra,
-    boolean_powerset_ea,
-    check_axioms,
-    coproduct,
-    downset,
-    enumerate_homomorphisms,
-    mo_free,
-    opposite,
-    product,
-)
 
-__all__ = [
-    "classical",
-    "config",
-    "effect_algebra",
-    "linalg",
-    "quantum",
-    "scenario",
-    "stochastic",
-    "AxiomReport",
-    "EAHom",
-    "FiniteEffectAlgebra",
-    "boolean_powerset_ea",
-    "check_axioms",
-    "coproduct",
-    "downset",
-    "enumerate_homomorphisms",
-    "mo_free",
-    "opposite",
-    "product",
-]
+__all__ = ["classical", "config", "effect_algebra", "linalg", "quantum", "scenario", "stochastic"]

@@ -229,7 +229,7 @@ def predicate_algebra(carrier: FinSet) -> FiniteEffectAlgebra:
     return FiniteEffectAlgebra(elements, 0, (1 << n) - 1, sums, perp, names)
 
 
-def stone_states(n: int, cap: int = ea_mod.DEFAULT_HOM_SEARCH_CAP) -> list[int]:
+def stone_states(n: int) -> list[int]:
     """Recover the points of an n-set from its algebra of subsets.
 
     Enumerates the two-valued homomorphisms on the powerset algebra and
@@ -240,7 +240,7 @@ def stone_states(n: int, cap: int = ea_mod.DEFAULT_HOM_SEARCH_CAP) -> list[int]:
         raise ValueError("n must be between 0 and 4")
     powerset = ea_mod.boolean_powerset_ea(n)
     two = ea_mod.mo_free(0)
-    homs = enumerate_homomorphisms(powerset, two, cap=cap)
+    homs = enumerate_homomorphisms(powerset, two)
     points = []
     for hom in homs:
         candidates = [i for i in range(n) if hom.mapping[1 << i] == two.one]

@@ -8,8 +8,9 @@ the square root's snap of eigenvalue dust to exact zeros.
 
 ``POST_EPS`` is the looser bound used after chains of floating-point
 arithmetic: kernel membership (an eigenvalue of ``I - A`` counts as zero,
-a fuzzy value as certain), the tie-breaks of the kernel-basis gauge,
-round trips through spectra and substitution chains, isometry admission.
+a fuzzy value as certain; ``linalg.kernel_band`` caps it at 0.5), the
+tie-breaks of the kernel-basis gauge, round trips through spectra and
+substitution chains, isometry admission.
 
 The values are read at call time, so ``set_epsilon`` reaches every check;
 it must only be used once, before any evaluation starts (the command line

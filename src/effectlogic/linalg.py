@@ -142,15 +142,21 @@ def _spectral_sqrt(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hermitian_part(root)
 
 
+def kernel_band() -> float:
+    """Values of magnitude below this count as zero: ``POST_EPS``, capped at
+    0.5 so that only a value nearer 0 than 1 does, however large ``--eps``."""
+    return min(config.POST_EPS, 0.5)
+
+
 def kernel_basis(a) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspaces with |eigenvalue| < POST_EPS.
+    """Orthonormal columns spanning the eigenspaces with |eigenvalue| < kernel_band().
 
     The columns are selected on the solver's own vectors, then put in the
     canonical gauge, which depends on the selected subspace alone.
     Returns an n x 0 matrix when the kernel is trivial.
     """
     values, vecs = eigen_hermitian(a)
-    kernel = vecs[:, np.abs(values) < config.POST_EPS]
+    kernel = vecs[:, np.abs(values) < kernel_band()]
     return _kernel_gauge(kernel) if kernel.shape[1] else kernel
 
 

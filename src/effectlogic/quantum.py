@@ -31,6 +31,7 @@ density matrices).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -126,8 +127,9 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > config.EPS:
-            raise ValueError(f"state norm {np.linalg.norm(v)} is not 1")
+        norm = math.hypot(*np.abs(v).tolist())  # scaled, so large entries do not overflow
+        if not abs(norm - 1.0) <= config.EPS:  # NaN fails it
+            raise ValueError(f"state norm {norm} is not 1")
         out = v.copy()
         out.setflags(write=False)
         object.__setattr__(self, "vector", out)

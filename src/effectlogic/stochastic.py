@@ -8,9 +8,11 @@ and a predicate doubles as its own classifier into X + X.
 
 All arithmetic is double precision; the structural tolerance
 ``config.EPS`` decides equality, definedness of the partial sum and
-normalisation, and ``config.POST_EPS`` which points are certain.
-Values drifting into [-EPS, 0) or (1, 1 + EPS] are clamped back into the
-unit interval.
+normalisation, and ``linalg.kernel_band()`` (``config.POST_EPS``, at
+most 0.5) which points are certain.  Every distribution, kernel and
+predicate is admitted by one check: its entries must lie in
+[-EPS, 1 + EPS], which NaN and infinities fail, and values drifting into
+[-EPS, 0) or (1, 1 + EPS] are clamped back into the unit interval.
 """
 
 from __future__ import annotations
@@ -22,14 +24,22 @@ import numpy as np
 
 from . import config
 from .classical import FinSet, doubled_carrier
+from .linalg import kernel_band
 
 
-def _clamp_unit(values: np.ndarray, what: str) -> np.ndarray:
+def _admit_unit(values, what: str, shape: tuple[int, ...], mismatch: str) -> np.ndarray:
+    """The one admission of a stochastic value: entries in [-EPS, 1 + EPS]
+    (NaN fails the test), the expected shape, then clamped into [0, 1] and
+    returned read-only."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size and (np.min(v) < -config.EPS or np.max(v) > 1.0 + config.EPS):
-        i = np.argwhere((v < -config.EPS) | (v > 1.0 + config.EPS))[0]
+    if v.size and not (np.min(v) >= -config.EPS and np.max(v) <= 1.0 + config.EPS):
+        i = np.argwhere(~((v >= -config.EPS) & (v <= 1.0 + config.EPS)))[0]
         raise ValueError(f"{what} has entries outside [0, 1]: entry {i.tolist()} is {v[tuple(i)]}")
-    return np.clip(v, 0.0, 1.0)
+    if v.shape != shape:
+        raise ValueError(mismatch)
+    v = np.clip(v, 0.0, 1.0)
+    v.setflags(write=False)
+    return v
 
 
 def clamp_probability(value: float) -> float:
@@ -47,14 +57,11 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _clamp_unit(self.weights, "distribution")
-        if w.shape != (self.carrier.size,):
-            raise ValueError("weight vector length must match carrier size")
+        w = _admit_unit(self.weights, "distribution", (self.carrier.size,),
+                        "weight vector length must match carrier size")
         total = float(np.sum(w))
         if abs(total - 1.0) > config.EPS:
             raise ValueError(f"weights sum to {total}, expected 1")
-        w = w.copy()
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
 
@@ -79,15 +86,12 @@ class StochasticMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _clamp_unit(self.matrix, "stochastic matrix")
-        if m.shape != (self.source.size, self.target.size):
-            raise ValueError("matrix shape must be source x target")
+        m = _admit_unit(self.matrix, "stochastic matrix", (self.source.size, self.target.size),
+                        "matrix shape must be source x target")
         sums = np.sum(m, axis=1)
         if m.shape[0] and np.max(np.abs(sums - 1.0)) > config.EPS:
             row = int(np.argmax(np.abs(sums - 1.0) > config.EPS))
             raise ValueError(f"rows must sum to 1, got {sums[row]} in row {row}")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def row(self, i: int) -> Distribution:
@@ -120,11 +124,8 @@ class FuzzyPredicate:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _clamp_unit(self.values, "fuzzy predicate")
-        if v.shape != (self.carrier.size,):
-            raise ValueError("value vector length must match carrier size")
-        v = v.copy()
-        v.setflags(write=False)
+        v = _admit_unit(self.values, "fuzzy predicate", (self.carrier.size,),
+                        "value vector length must match carrier size")
         object.__setattr__(self, "values", v)
 
     def complement(self) -> "FuzzyPredicate":
@@ -187,10 +188,11 @@ def test_then(p: FuzzyPredicate, q: FuzzyPredicate) -> FuzzyPredicate:
 def comprehension(p: FuzzyPredicate) -> tuple[FinSet, StochasticMap]:
     """The sub-carrier where p is certain, with its inclusion.
 
-    A point is certain when its value is within ``POST_EPS`` of 1: the
-    rule the quantum kernel basis applies to the eigenvalues of I - A.
+    A point is certain when 1 minus its value is below ``kernel_band()``:
+    the rule the quantum kernel basis applies to the eigenvalues of I - A.
     """
-    included = [i for i in range(p.carrier.size) if 1.0 - p.values[i] < config.POST_EPS]
+    band = kernel_band()
+    included = [i for i in range(p.carrier.size) if 1.0 - p.values[i] < band]
     sub = FinSet(tuple(p.carrier.labels[i] for i in included))
     return sub, deterministic(included, sub, p.carrier)
 
@@ -251,16 +253,10 @@ def xi_inverse(carrier: FinSet, point_values: Sequence[float]) -> Distribution:
 
     A normalised affine transformer is determined by what it assigns to
     the point indicator predicates; those values must be a probability
-    vector, otherwise the transformer was not a state and is rejected.
+    vector, otherwise the transformer was not a state and ``Distribution``
+    rejects them.
     """
-    v = np.asarray(point_values, dtype=np.float64)
-    if v.shape != (carrier.size,):
-        raise ValueError("need one value per carrier point")
-    if v.size and np.min(v) < -config.EPS:
-        raise ValueError("indicator values must be non-negative")
-    if abs(float(np.sum(v)) - 1.0) > config.EPS:
-        raise ValueError(f"indicator values sum to {float(np.sum(v))}, expected 1")
-    return Distribution(carrier, np.clip(v, 0.0, None) / np.sum(np.clip(v, 0.0, None)))
+    return Distribution(carrier, point_values)
 
 
 @dataclass(frozen=True, eq=False)

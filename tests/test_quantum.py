@@ -58,13 +58,6 @@ def proj(vec) -> QPredicate:
     return projector(PureState(vec))
 
 
-@pytest.fixture
-def restore_config():
-    saved = config.EPS, config.POST_EPS
-    yield
-    config.EPS, config.POST_EPS = saved
-
-
 class TestTypes:
     def test_effect_spectrum_bounds(self):
         with pytest.raises(ValueError):
@@ -98,6 +91,12 @@ class TestTypes:
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
+
+    def test_pure_state_norm_of_large_entries_does_not_overflow(self):
+        # squaring 1e200 overflows; the message names the norm itself, and
+        # no overflow warning is raised on the way
+        with pytest.raises(ValueError, match=r"^state norm 1\.414213562373095e\+200 is not 1$"):
+            PureState(np.array([1e200, 1e200]))
 
     def test_density_trace(self):
         with pytest.raises(ValueError):

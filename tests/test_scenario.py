@@ -406,19 +406,14 @@ class TestCommandLine:
         (["--precision", "-1"], "--precision must be between 0 and 17, got -1"),
         (["--precision", "18"], "--precision must be between 0 and 17, got 18"),
     ])
-    def test_option_out_of_range_is_a_usage_error(self, tmp_path, capsys, option, message):
+    def test_option_out_of_range_is_a_usage_error(self, tmp_path, capsys, restore_config,
+                                                  option, message):
         # at nan or inf every "x > EPS" check is false, and the orthosum of
         # diag(3, 0.5) with itself would be admitted
-        from effectlogic import config
-
         path = tmp_path / "sc.scn"
         path.write_text("instance quantum\nlet m = matrix 2 2\n3+0i 0+0i\n0+0i 0.5+0i\n"
                         "query orthosum(predicate(m), predicate(m))\n")
-        saved = config.EPS, config.POST_EPS
-        try:
-            assert cli.main(["run", str(path), *option]) == 2
-        finally:
-            config.EPS, config.POST_EPS = saved
+        assert cli.main(["run", str(path), *option]) == 2
         assert capsys.readouterr() == ("", message + "\n")
 
     @pytest.mark.parametrize("depth,code", [(scenario.MAX_DEPTH, 0),
@@ -530,73 +525,65 @@ class TestCommandLine:
             "8: axioms = pass\n"
         )
 
-    def test_eps_override_loosens_normalisation(self, tmp_path, capsys):
-        from effectlogic import config
-
+    def test_eps_override_loosens_normalisation(self, tmp_path, capsys, restore_config):
         path = tmp_path / "loose.scn"
         path.write_text(
             "instance stochastic\nlet c = carrier(a, b)\nlet d = dist(c, 0.5, 0.45)\n"
             "query measure(fuzzy(c, 1, 0), d)\n"
         )
-        saved = config.EPS, config.POST_EPS
-        try:
-            assert cli.main(["run", str(path)]) == 2  # rejected at the default tolerance
-            capsys.readouterr()
-            assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
-            capsys.readouterr()
-        finally:
-            config.EPS, config.POST_EPS = saved
+        assert cli.main(["run", str(path)]) == 2  # rejected at the default tolerance
+        capsys.readouterr()
+        assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
+        capsys.readouterr()
 
-    def test_eps_override_reaches_spectral_checks(self, tmp_path, capsys):
-        from effectlogic import config
-
+    def test_eps_override_reaches_spectral_checks(self, tmp_path, capsys, restore_config):
         path = tmp_path / "dust.scn"
         path.write_text(
             "instance quantum\nlet m = matrix 2 2\n-5e-7 0\n0 0.5\nlet e = effect(m)\n"
             "query born(ket0, e)\n"
         )
-        saved = config.EPS, config.POST_EPS
-        try:
-            assert cli.main(["run", str(path)]) == 2  # eigenvalue -5e-7 < -1e-9
-            capsys.readouterr()
-            assert cli.main(["run", str(path), "--eps", "1e-6"]) == 0
-            assert capsys.readouterr().out == "0: born = 0.000000000\n"
-        finally:
-            config.EPS, config.POST_EPS = saved
+        assert cli.main(["run", str(path)]) == 2  # eigenvalue -5e-7 < -1e-9
+        capsys.readouterr()
+        assert cli.main(["run", str(path), "--eps", "1e-6"]) == 0
+        assert capsys.readouterr().out == "0: born = 0.000000000\n"
 
-    def test_eps_override_keeps_the_kernel_gauge(self, tmp_path, capsys):
-        from effectlogic import config
-
+    def test_eps_override_keeps_the_kernel_gauge(self, tmp_path, capsys, restore_config):
         path = tmp_path / "gauge.scn"
         path.write_text(
             "instance quantum\nlet m = matrix 2 2\n0 0\n0 1\n"
             "query comprehension(predicate(m))\n"
         )
-        saved = config.EPS, config.POST_EPS
-        try:
-            # POST_EPS is 1 here, past both entries of the kernel column
-            assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
-            assert capsys.readouterr().out == "0: comprehension = 2 1\n0+0i\n1+0i\n"
-        finally:
-            config.EPS, config.POST_EPS = saved
+        # POST_EPS is 1 here, past both entries of the kernel column
+        assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
+        assert capsys.readouterr().out == "0: comprehension = 2 1\n0+0i\n1+0i\n"
 
-    def test_eps_override_moves_the_square_root_snap(self, tmp_path, capsys):
-        from effectlogic import config
-
+    def test_eps_override_moves_the_square_root_snap(self, tmp_path, capsys, restore_config):
         path = tmp_path / "snap.scn"
         path.write_text(
             "instance quantum\nlet m = matrix 2 2\n0.95 0\n0 0.05\n"
             "query measure(predicate(m), ket0)\n"
         )
-        saved = config.EPS, config.POST_EPS
-        try:
-            assert cli.main(["run", str(path)]) == 0
-            assert capsys.readouterr().out.splitlines()[1] == "0.974679434+0i"
-            # eigenvalues within EPS = 0.1 of 1 and 0 are read as 1 and 0
-            assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
-            assert capsys.readouterr().out == "0: measure = 4 1\n1+0i\n0+0i\n0+0i\n0+0i\n"
-        finally:
-            config.EPS, config.POST_EPS = saved
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0.974679434+0i"
+        # eigenvalues within EPS = 0.1 of 1 and 0 are read as 1 and 0
+        assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
+        assert capsys.readouterr().out == "0: measure = 4 1\n1+0i\n0+0i\n0+0i\n0+0i\n"
+
+    @pytest.mark.parametrize("text,certain", [
+        ("instance stochastic\nlet c = carrier(a, b, d)\n"
+         "query comprehension(fuzzy(c, 1, 0.5, 0))\n", "{a}"),
+        ("instance quantum\nlet m = matrix 2 2\n0.5 0\n0 1\n"
+         "query comprehension(predicate(m))\n", "2 1\n0+0i\n1+0i"),
+    ], ids=["stochastic", "quantum"])
+    def test_large_eps_counts_only_values_nearer_one_as_certain(
+            self, tmp_path, capsys, restore_config, text, certain):
+        # POST_EPS is 1 at --eps 0.1, and the certainty band stops at 0.5,
+        # so a value of 0.5 is certain at neither tolerance
+        path = tmp_path / "certain.scn"
+        path.write_text(text)
+        for option in ([], ["--eps", "0.1"]):
+            assert cli.main(["run", str(path), *option]) == 0
+            assert capsys.readouterr().out == f"0: comprehension = {certain}\n"
 
     def test_comprehension_report_reads_back_as_an_isometry(self, tmp_path, capsys):
         import numpy as np

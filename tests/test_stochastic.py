@@ -75,6 +75,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             FuzzyPredicate(range_finset(1), np.array([1.5]))
 
+    def test_nan_entry_is_named_like_any_other(self):
+        with pytest.raises(ValueError, match=r"^distribution has entries outside \[0, 1\]: "
+                                             r"entry \[0\] is nan$"):
+            Distribution(range_finset(2), np.array([np.nan, 1.0]))
+
     def test_rows_must_normalise(self):
         with pytest.raises(ValueError):
             StochasticMap(range_finset(1), range_finset(2), np.array([[0.5, 0.4]]))
