@@ -34,7 +34,7 @@ class FinSet:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"no element {label!r} in carrier") from None
+            raise ValueError(f"no element {label!r} in carrier") from None
 
 
 def finset(*labels: str) -> FinSet:

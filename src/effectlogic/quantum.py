@@ -46,6 +46,7 @@ from .linalg import (
     dagger,
     eigen_hermitian,
     eigvals_hermitian,
+    finite_matrix,
     hermitian_deviation,
     hermitian_part,
     kernel_basis,
@@ -74,7 +75,7 @@ class QPredicate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = finite_matrix(self.matrix)
         _check_effect_spectrum(eigvals_hermitian(m))
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -146,7 +147,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = finite_matrix(self.matrix)
         vals = eigvals_hermitian(m)
         if vals.size and not vals[-1] >= -config.EPS:
             raise ValueError("density matrix must be positive semidefinite")
@@ -174,7 +175,7 @@ class Isometry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = finite_matrix(self.matrix)
         rows, cols = m.shape
         if rows < cols:
             raise ValueError("isometry must have at least as many rows as columns")

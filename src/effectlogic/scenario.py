@@ -12,16 +12,19 @@ list of ``query`` lines.  The grammar is deliberately small:
 where EXPR is a name, a number, a constructor call, or a matrix literal
 ``matrix R C`` followed by R rows of ``a+bi`` entries.  Query arguments
 may nest constructor and test calls, at most ``MAX_DEPTH`` deep.  Each
-line is checked as it is read (declared names, known calls, query arity,
-bare labels), and the first fault in reading order is reported.
-Declarations are evaluated at load time so that invariant violations are
-reported with their line number.
+line is checked as it is read (declared names, known calls, the arity of
+fixed-arity calls, bare labels), and the first fault in reading order is
+reported.  Declarations are evaluated at load time so that invariant
+violations are reported with their line number.
 
-Each instance is a static table of built-ins, constructors and query
-operations (``OPERATIONS``, whose shared rows come from its record in
-``instances``).  In the quantum instance ``effect(M)``, ``predicate(M)``
-and ``projector(state)`` all build the same predicate, and ``andthen`` and
-``then`` return one, so a test result feeds every query, as elsewhere.
+Each instance is a static table of built-ins and one row per call: its
+constructors (``CONSTRUCTORS``) and query operations (``OPERATIONS``,
+whose shared rows come from its record in ``instances``).  A row is the
+argument types and a function of the evaluated arguments; the parser reads
+label positions and arity from it, and one dispatcher applies it.  In the
+quantum instance ``effect(M)``, ``predicate(M)`` and ``projector(state)``
+all build the same predicate, and ``andthen`` and ``then`` return one, so
+a test result feeds every query, as elsewhere.
 
 Reports are deterministic: one line per query, reals printed to a fixed
 number of decimals, matrices in the shared literal format.
@@ -41,14 +44,6 @@ from .classical import BoolPredicate, FinMap, FinSet
 from .effect_algebra import FiniteEffectAlgebra
 from .quantum import DensityMatrix, Isometry, PureState, QPredicate
 from .stochastic import Distribution, FuzzyPredicate, StochasticMap
-
-# Constructor argument positions read as bare labels instead of names.
-_LABEL_ARGS = {
-    "carrier": 0,
-    "subset": 1,
-    "finmap": 2,
-    "elem": 1,
-}
 
 
 class ScenarioError(Exception):
@@ -203,10 +198,13 @@ class _ExprParser:
         fn, col = head[1], head[2]
         if depth > MAX_DEPTH:
             raise ScenarioError(f"calls nest deeper than {MAX_DEPTH}", self.line, col)
-        arity = QUERY_ARITY.get(fn)
-        if arity is None and fn not in self.scope.constructors:
+        row = self.scope.calls.get(fn)
+        if row is None and fn not in QUERY_ARITY:
             raise ScenarioError(f"unknown constructor {fn!r}", self.line, col)
-        labels = _LABEL_ARGS.get(fn, math.inf)  # the first label position
+        # a query of another instance is read by its arity; evaluation refuses it
+        types = row[0] if row else (object,) * QUERY_ARITY[fn]
+        arity = None if types[-1] is ... else len(types)
+        labels = types.index(str) if str in types else math.inf  # labels come last
         self.take()
         args = []
         sep = self.take() if self.at(")") else None  # an empty list closes at once
@@ -214,8 +212,7 @@ class _ExprParser:
             tok = self.peek()
             if tok and tok[0] == "nums":
                 if len(args) + len(tok[1]) > labels:
-                    raise ScenarioError(f"argument {max(len(args), labels) + 1} of {fn} must be "
-                                        "a label", self.line, col)
+                    raise ScenarioError(_must_be(fn, max(len(args), labels), str), self.line, col)
                 args.extend(tok[1])
                 self.i += 2  # the run and the ')' it closes with
                 break
@@ -224,8 +221,7 @@ class _ExprParser:
             else:
                 tok = self.take_operand()
                 if tok[0] == "num" or self.at("("):
-                    raise ScenarioError(f"argument {len(args) + 1} of {fn} must be a label",
-                                        self.line, col)
+                    raise ScenarioError(_must_be(fn, len(args), str), self.line, col)
                 args.append(NameRef(tok[1], self.line, tok[2]))
             sep = self.take()
             if sep[0] != "punct" or sep[1] not in ",)":
@@ -308,7 +304,7 @@ def parse_scenario(text: str) -> Scenario:
             try:
                 with np.errstate(**_QUIET):
                     scenario.declarations[name] = evaluator.evaluate(expr)
-            except (QueryError, ValueError, KeyError) as exc:
+            except (QueryError, ValueError) as exc:
                 raise ScenarioError(str(exc), lineno) from None
             continue
         if head[1] == "query":
@@ -348,107 +344,57 @@ class Element:
 
 
 class _Evaluator:
-    """Name lookup and constructor dispatch for one scenario's instance."""
+    """Name lookup and the one dispatcher of calls, for one scenario's instance."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.builtins = BUILTINS[scenario.instance]
-        self.constructors = CONSTRUCTORS[scenario.instance]
+        self.calls = _CALLS[scenario.instance]
 
     def evaluate(self, expr):
-        if isinstance(expr, float):
-            return expr
         if isinstance(expr, NameRef):
             if expr.name in self.scenario.declarations:
                 return self.scenario.declarations[expr.name]
             return self.builtins[expr.name]  # the parser has checked the name
         if isinstance(expr, CallExpr):
-            make = self.constructors.get(expr.fn)
-            if make is not None:
-                return make(self, expr)
-            return _apply_operator(self.scenario.instance, expr.fn,
-                                   [self.evaluate(a) for a in expr.args])
-        raise AssertionError("unreachable expression kind")
+            return self.call(expr.fn, expr.args)
+        return expr  # a number
 
-    def numbers(self, expr: CallExpr, start: int) -> list[float]:
-        out = []
-        for arg in expr.args[start:]:
-            if type(arg) is not float:  # a literal is its own value
-                arg = self.evaluate(arg)
-                if not isinstance(arg, _REAL):
-                    raise QueryError(f"{expr.fn} expects numbers from position {start + 1}")
-                arg = float(arg)
-            out.append(arg)
-        return out
-
-    def natural(self, expr: CallExpr) -> int:
-        return _natural(self.numbers(expr, 0), f"{expr.fn} takes one natural number")
-
-    def arg(self, expr: CallExpr, idx: int, kind, what: str):
-        if idx >= len(expr.args):
-            raise QueryError(f"{expr.fn} is missing argument {idx + 1}")
-        value = self.evaluate(expr.args[idx])
-        if not isinstance(value, kind):
-            raise QueryError(f"argument {idx + 1} of {expr.fn} must be {what}")
-        return value
-
-    def matrix(self, expr: CallExpr) -> np.ndarray:
-        value = self.arg(expr, 0, (np.ndarray, QPredicate), "a matrix")
-        return value if isinstance(value, np.ndarray) else value.matrix
-
-
-def _labels(expr: CallExpr, start: int) -> tuple[str, ...]:
-    # the parser has checked that these positions hold bare labels
-    return tuple(arg.name for arg in expr.args[start:])
-
-
-def _make_carrier(ev: _Evaluator, expr: CallExpr) -> FinSet:
-    return FinSet(_labels(expr, 0))
-
-
-def _make_subset(ev: _Evaluator, expr: CallExpr) -> BoolPredicate:
-    c = ev.arg(expr, 0, FinSet, "a carrier")
-    return BoolPredicate(c, frozenset(c.index_of(l) for l in _labels(expr, 1)))
-
-
-def _make_finmap(ev: _Evaluator, expr: CallExpr) -> FinMap:
-    src = ev.arg(expr, 0, FinSet, "a carrier")
-    tgt = ev.arg(expr, 1, FinSet, "a carrier")
-    images = _labels(expr, 2)
-    if len(images) != src.size:
-        raise QueryError(f"finmap needs {src.size} image labels, got {len(images)}")
-    return FinMap(src, tgt, tuple(tgt.index_of(l) for l in images))
-
-
-def _make_elem(ev: _Evaluator, expr: CallExpr) -> Element:
-    c = ev.arg(expr, 0, FinSet, "a carrier")
-    labels = _labels(expr, 1)
-    if len(labels) != 1:
-        raise QueryError("elem takes a carrier and one label")
-    return Element(c, c.index_of(labels[0]))
-
-
-def _make_stochmap(ev: _Evaluator, expr: CallExpr) -> StochasticMap:
-    src = ev.arg(expr, 0, FinSet, "a carrier")
-    tgt = ev.arg(expr, 1, FinSet, "a carrier")
-    entries = ev.numbers(expr, 2)
-    if len(entries) != src.size * tgt.size:
-        raise QueryError(f"stochmap needs {src.size * tgt.size} entries, got {len(entries)}")
-    return StochasticMap(src, tgt, np.array(entries).reshape(src.size, tgt.size))
-
-
-def _make_predicate(ev: _Evaluator, expr: CallExpr) -> QPredicate:
-    return quantum.QPredicate.from_effect(ev.arg(expr, 0, (np.ndarray, QPredicate), "a matrix"))
+    def call(self, fn: str, args: tuple):
+        """Apply the row of ``fn`` to the values of ``args``, checking their types."""
+        row = self.calls.get(fn)
+        if row is None:  # a query kind of another instance, which the parser admits
+            raise QueryError(f"{fn} is not a {self.scenario.instance} query")
+        types, apply = row
+        tail = ()
+        if types[-1] is ...:  # the type before it, once for each further argument
+            fixed, kind = len(types) - 2, types[-2]
+            if kind is _REAL and {*map(type, args[fixed:])} <= {float}:
+                args, tail = args[:fixed], args[fixed:]  # literal numbers pass in one check
+            types = types[:fixed] + (kind,) * (len(args) - fixed)
+        values = []
+        for kind, arg in zip(types, args):
+            if kind is str:
+                values.append(arg.name)  # the parser has checked that a label stands here
+            else:
+                value = arg if type(arg) is float else self.evaluate(arg)  # a literal is itself
+                if not isinstance(value, kind):
+                    raise QueryError(_must_be(fn, len(values), kind))
+                values.append(value)
+        if len(values) < len(types):
+            raise QueryError(f"{fn} is missing argument {len(values) + 1}")
+        return apply(*values, *tail)
 
 
 # -- the three instances ------------------------------------------------------
 #
-# Each instance is one static description: its built-in names, its
-# constructors and its query operations.  A constructor is a function of the
-# evaluator and the call; an operation is its argument types and a function
-# of the evaluated arguments.  Both reach the library through its module at
-# call time, so a caller that rebinds a module's functions (a tracer, a test
-# double) sees every call.
+# Each instance is one static description: its built-in names and one row
+# per call, constructor or query operation: the argument types and a
+# function of their values.  A type is a class or a tuple of classes; ``str``
+# marks a bare label, and labels come last.  A trailing ``...`` repeats the
+# type before it any number of times, none included.  The functions reach
+# the library through its module at call time, so a caller that rebinds a
+# module's functions (a tracer, a test double) sees every call.
 
 BUILTINS: dict[str, dict[str, object]] = {
     "classical": {},
@@ -465,63 +411,91 @@ BUILTINS: dict[str, dict[str, object]] = {
     },
 }
 
-_ALGEBRAS = {
-    "mo": lambda ev, e: effect_algebra.mo_free(ev.natural(e)),
-    "powerset": lambda ev, e: effect_algebra.boolean_powerset_ea(ev.natural(e)),
+_REAL = (float, int)
+_MATRIX = (np.ndarray, QPredicate)  # a predicate stands for its left part
+
+# what a position's type is called in "argument i of fn must be <what>"
+_WHAT = {
+    str: "a label",
+    _REAL: "a number",
+    FinSet: "a carrier",
+    Element: "an element",
+    Distribution: "a distribution",
+    PureState: "a state",
+    (PureState, DensityMatrix): "a state",
+    _MATRIX: "a matrix",
+    FiniteEffectAlgebra: "an effect algebra",
+    (FiniteEffectAlgebra, FinSet): "an effect algebra or a carrier",
+    **{record.predicate: "a predicate" for record in instances.INSTANCES.values()},
+    **{record.map: "a map" for record in instances.INSTANCES.values()},
 }
-CONSTRUCTORS: dict[str, dict[str, Callable]] = {
+
+
+def _must_be(fn: str, i: int, kind) -> str:
+    return f"argument {i + 1} of {fn} must be {_WHAT[kind]}"
+
+
+def _natural(n: float, message: str) -> int:
+    """n if it is finite and whole (a literal such as 1e999 reads as inf), else the message."""
+    if not math.isfinite(n) or n != int(n):
+        raise QueryError(message)
+    return int(n)
+
+
+def _matrix_of(value) -> np.ndarray:
+    """An array as it is, or the matrix a quantum value holds (a predicate's left part)."""
+    return value if isinstance(value, np.ndarray) else value.matrix
+
+
+def _make_finmap(src: FinSet, tgt: FinSet, *images: str) -> FinMap:
+    if len(images) != src.size:
+        raise QueryError(f"finmap needs {src.size} image labels, got {len(images)}")
+    return FinMap(src, tgt, tuple(map(tgt.index_of, images)))
+
+
+def _make_stochmap(src: FinSet, tgt: FinSet, *entries: float) -> StochasticMap:
+    if len(entries) != src.size * tgt.size:
+        raise QueryError(f"stochmap needs {src.size * tgt.size} entries, got {len(entries)}")
+    return StochasticMap(src, tgt, np.reshape(entries, (src.size, tgt.size)))
+
+
+_PREDICATE = ((_MATRIX,), lambda m: quantum.QPredicate.from_effect(m))
+_ALGEBRAS = {
+    "mo": ((_REAL,), lambda n: effect_algebra.mo_free(_natural(n, "mo takes one natural number"))),
+    "powerset": ((_REAL,), lambda n: effect_algebra.boolean_powerset_ea(
+        _natural(n, "powerset takes one natural number"))),
+}
+_OVER_SETS = {**_ALGEBRAS, "carrier": ((str, ...), lambda *labels: FinSet(labels))}
+CONSTRUCTORS: dict[str, dict[str, tuple[tuple, Callable]]] = {
     "classical": {
-        **_ALGEBRAS,
-        "carrier": _make_carrier,
-        "subset": _make_subset,
-        "finmap": _make_finmap,
-        "elem": _make_elem,
+        **_OVER_SETS,
+        "subset": ((FinSet, str, ...),
+                   lambda c, *labels: BoolPredicate(c, frozenset(map(c.index_of, labels)))),
+        "finmap": ((FinSet, FinSet, str, ...), _make_finmap),
+        "elem": ((FinSet, str), lambda c, label: Element(c, c.index_of(label))),
     },
     "stochastic": {
-        **_ALGEBRAS,
-        "carrier": _make_carrier,
-        "dist": lambda ev, e: Distribution(ev.arg(e, 0, FinSet, "a carrier"),
-                                           np.array(ev.numbers(e, 1))),
-        "fuzzy": lambda ev, e: FuzzyPredicate(ev.arg(e, 0, FinSet, "a carrier"),
-                                              np.array(ev.numbers(e, 1))),
-        "stochmap": _make_stochmap,
+        **_OVER_SETS,
+        "dist": ((FinSet, _REAL, ...), lambda c, *weights: Distribution(c, weights)),
+        "fuzzy": ((FinSet, _REAL, ...), lambda c, *values: FuzzyPredicate(c, values)),
+        "stochmap": ((FinSet, FinSet, _REAL, ...), _make_stochmap),
     },
     "quantum": {
         **_ALGEBRAS,
-        "ket": lambda ev, e: PureState(np.array(ev.numbers(e, 0), dtype=np.complex128)),
-        "effect": _make_predicate,
-        "predicate": _make_predicate,
-        "projector": lambda ev, e: quantum.projector(ev.arg(e, 0, PureState, "a state")),
-        "density": lambda ev, e: DensityMatrix(ev.matrix(e)),
-        "isometry": lambda ev, e: Isometry(ev.matrix(e)),
+        "ket": ((_REAL, ...), lambda *amplitudes: PureState(amplitudes)),
+        "effect": _PREDICATE,
+        "predicate": _PREDICATE,
+        "projector": ((PureState,), lambda x: quantum.projector(x)),
+        "density": ((_MATRIX,), lambda m: DensityMatrix(_matrix_of(m))),
+        "isometry": ((_MATRIX,), lambda m: Isometry(_matrix_of(m))),
     },
 }
-
-_REAL = (float, int)
 
 
 def _classical_measure(p: BoolPredicate, x: Element):
     if x.carrier != p.carrier:
         raise QueryError("element belongs to a different carrier")
     return ("tagged", p.carrier, classical.measure(p, x.index))
-
-
-def _quantum_measure(p: QPredicate, state: PureState | DensityMatrix):
-    if isinstance(state, PureState):
-        return quantum.measure_pure(p, state)
-    return quantum.measure_density(p, state)
-
-
-def _natural(numbers: list, message: str) -> int:
-    """The one number given, if it is finite and whole (a literal such as
-    1e999 reads as inf); otherwise a QueryError with the message."""
-    if len(numbers) != 1 or not math.isfinite(numbers[0]) or numbers[0] != int(numbers[0]):
-        raise QueryError(message)
-    return int(numbers[0])
-
-
-def _states(n: float) -> int:
-    return len(classical.stone_states(_natural([n], "states takes a natural number")))
 
 
 def _axioms(target: FiniteEffectAlgebra | FinSet):
@@ -551,7 +525,8 @@ OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
         **_shared_rows(instances.INSTANCES["classical"]),
         "measure": ((BoolPredicate, Element), _classical_measure),
         "comprehension": ((BoolPredicate,), lambda p: classical.comprehension(p)[0]),
-        "states": ((_REAL,), _states),
+        "states": ((_REAL,), lambda n: len(classical.stone_states(
+            _natural(n, "states takes a natural number")))),
         "axioms": (((FiniteEffectAlgebra, FinSet),), _axioms),
     },
     "stochastic": {
@@ -564,7 +539,8 @@ OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
     "quantum": {
         **_shared_rows(instances.INSTANCES["quantum"]),
         "born": ((PureState, QPredicate), lambda x, p: quantum.born_probability(x, p)),
-        "measure": ((QPredicate, (PureState, DensityMatrix)), _quantum_measure),
+        "measure": ((QPredicate, (PureState, DensityMatrix)), lambda p, x: (
+            quantum.measure_pure if isinstance(x, PureState) else quantum.measure_density)(p, x)),
         "comprehension": ((QPredicate,), lambda p: quantum.comprehension(p)),
         "axioms": ((FiniteEffectAlgebra,), _axioms),
     },
@@ -572,20 +548,7 @@ OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
 
 QUERY_ARITY = {kind: len(types) for table in OPERATIONS.values()
                for kind, (types, _) in table.items()}
-
-
-def _type_names(types) -> str:
-    return " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-
-
-def _apply_operator(instance: str, kind: str, args: list):
-    try:
-        types, operation = OPERATIONS[instance][kind]
-    except KeyError:
-        raise QueryError(f"{kind} is not a {instance} query") from None
-    if not all(isinstance(arg, t) for arg, t in zip(args, types)):
-        raise QueryError(f"{kind} expects ({', '.join(map(_type_names, types))})")
-    return operation(*args)
+_CALLS = {name: {**CONSTRUCTORS[name], **OPERATIONS[name]} for name in CONSTRUCTORS}
 
 
 # -- report formatting --------------------------------------------------------
@@ -621,10 +584,8 @@ def format_value(value, prec: int) -> str:
         return report.describe(algebra)
     if isinstance(value, PureState):
         return linalg.format_matrix(value.vector.reshape(-1, 1), prec)
-    if isinstance(value, (QPredicate, DensityMatrix, Isometry)):
-        return linalg.format_matrix(value.matrix, prec)
-    if isinstance(value, np.ndarray):
-        return linalg.format_matrix(value, prec)
+    if isinstance(value, (QPredicate, DensityMatrix, Isometry, np.ndarray)):
+        return linalg.format_matrix(_matrix_of(value), prec)
     raise QueryError(f"cannot render value of type {type(value).__name__}")
 
 
@@ -641,10 +602,9 @@ def run(scenario: Scenario, precision: int = 9) -> tuple[str, bool]:
         digits = precision if query.precision is None else query.precision
         try:
             with np.errstate(**_QUIET):
-                value = _apply_operator(scenario.instance, query.kind,
-                                        [evaluator.evaluate(a) for a in query.args])
+                value = evaluator.call(query.kind, query.args)
             rendered = format_value(value, digits)
-        except (QueryError, ValueError, KeyError) as exc:
+        except (QueryError, ValueError) as exc:
             rendered = f"error: line {query.line}: {exc}"
             ok = False
         lines.append(f"{idx}: {query.kind} = {rendered}")

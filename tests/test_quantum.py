@@ -131,7 +131,7 @@ class TestToleranceContract:
         # V*V = (1 + 8e-9) I deviates by 1.1e-8 > POST_EPS in the Frobenius norm
         with pytest.raises(ValueError, match="columns are not orthonormal"):
             Isometry((1 + 4e-9) * np.eye(2))
-        with pytest.raises(ValueError, match="columns are not orthonormal"):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
             Isometry(np.full((2, 1), np.nan))
 
     def test_isometry_past_eps_is_made_exact(self):

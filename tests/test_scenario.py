@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectlogic import classical, cli, linalg, quantum, scenario, stochastic
+from effectlogic.effect_algebra import FiniteEffectAlgebra
 from effectlogic.quantum import PureState, QPredicate
 from effectlogic.scenario import NameRef, ScenarioError, format_value, parse_scenario, run
 
@@ -182,7 +183,7 @@ class TestRunning:
         assert out.splitlines() == [
             "0: multiply = [0.250000000, 0.250000000]",
             "1: born = error: line 6: born is not a stochastic query",
-            "2: measure = error: line 7: measure expects (FuzzyPredicate, Distribution)",
+            "2: measure = error: line 7: argument 2 of measure must be a distribution",
         ]
         # every quantum predicate position, and every matrix position, takes a QPredicate
         out, ok = run(parse_scenario(
@@ -197,7 +198,7 @@ class TestRunning:
         assert not ok
         assert out.splitlines() == [
             "0: substitute = error: line 8: predicate dimension must match the isometry target",
-            "1: andthen = error: line 9: andthen expects (QPredicate, QPredicate)",
+            "1: andthen = error: line 9: argument 2 of andthen must be a predicate",
             "2: measure = 4 4",
             "0.25+0i 0.25+0i 0.25+0i -0.25+0i",
             "0.25+0i 0.25+0i 0.25+0i -0.25+0i",
@@ -864,7 +865,7 @@ PARSE_ERRORS = [
     (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 0.5\n', (5, 1, 'unexpected end of line')),
     (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5 0.5)\n', (5, 22, "expected ',' or ')', found '0.5'")),
     (STOCHASTIC_HEAD, 'query andthen(p, fuzzy(X, 0.5, 0.5) extra)\n', (5, 37, "expected ',' or ')', found 'extra'")),
-    (STOCHASTIC_HEAD, 'let q = fuzzy(X, X, 0.5, 0.5)\n', (5, 1, 'fuzzy expects numbers from position 2')),
+    (STOCHASTIC_HEAD, 'let q = fuzzy(X, X, 0.5, 0.5)\n', (5, 1, 'argument 2 of fuzzy must be a number')),
     (STOCHASTIC_HEAD, 'let q = fuzzy(X, 0.5, 0.5, 0.5)\n', (5, 1, 'value vector length must match carrier size')),
     (STOCHASTIC_HEAD, 'let K = stochmap(X, Y, 0.5, 0.5, 0.5)\n', (5, 1, 'stochmap needs 4 entries, got 3')),
     (STOCHASTIC_HEAD, 'let K = stochmap(X, 0.5, 0.5, 0.5, 0.5)\n', (5, 1, 'argument 2 of stochmap must be a carrier')),
@@ -884,8 +885,8 @@ PARSE_ERRORS = [
     (CLASSICAL_HEAD, 'let s = subset(X, a, 1, 2)\n', (3, 9, 'argument 3 of subset must be a label')),
     (CLASSICAL_HEAD, 'query states(1, 2)\n', (3, 7, 'states takes 1 arguments, got 2')),
     (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, 1, 2))\n', (3, 29, 'argument 2 of elem must be a label')),
-    # matrix arguments: a missing one is reported as missing, as for every constructor
-    (QUANTUM_HEAD, 'let p = predicate()\n', (2, 1, 'predicate is missing argument 1')),
+    # a fixed-arity constructor's arity is checked as it is read, as a query's is
+    (QUANTUM_HEAD, 'let p = predicate()\n', (2, 9, 'predicate takes 1 arguments, got 0')),
     (QUANTUM_HEAD, 'let p = effect(ket0)\n', (2, 1, 'argument 1 of effect must be a matrix')),
     (QUANTUM_HEAD, 'let d = density(ket0)\n', (2, 1, 'argument 1 of density must be a matrix')),
     # an overflowing literal reads as inf, which is no natural number
@@ -897,6 +898,12 @@ PARSE_ERRORS = [
     # rows are counted before the matrix is allocated
     (QUANTUM_HEAD, 'let m = matrix 1 1000000000000\n1\n',
      (2, 1, 'row 0 has 1 entries, expected 1000000000000')),
+]
+HOSTILE_MATRIX_LITERALS = PARSE_ERRORS[-3:]
+PARSE_ERRORS += [
+    (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, a, b))\n', (3, 29, 'elem takes 2 arguments, got 3')),
+    (QUANTUM_HEAD, 'query born(ket0, projector())\n', (2, 18, 'projector takes 1 arguments, got 0')),
+    (CLASSICAL_HEAD, 'query axioms(mo(1, 2))\n', (3, 14, 'mo takes 1 arguments, got 2')),
 ]
 
 # Lines with two faults: the static checks run as the parser reads, so the
@@ -961,7 +968,7 @@ class TestTextLayer:
             parse_scenario(head + line)
         assert (err.value.line, err.value.col, err.value.message) == expected
 
-    @pytest.mark.parametrize("head,line,expected", PARSE_ERRORS[-3:])
+    @pytest.mark.parametrize("head,line,expected", HOSTILE_MATRIX_LITERALS)
     def test_hostile_matrix_literals_exit_two(self, tmp_path, capsys, head, line, expected):
         path = tmp_path / "bad.scn"
         path.write_text(head + line)
@@ -1069,6 +1076,99 @@ class TestOneLinePerFault:
             "0: comprehension = {u}\n"
             f"1: substitute = error: line 5: {message}\n"
             "2: comprehension = {v}\n", "")
+
+    # an unknown label is named like any other fault, without quotes around the message
+    @pytest.mark.parametrize("line,expected", [
+        ("query comprehension(subset(X, zz))\n",
+         (1, "0: comprehension = error: line 3: no element 'zz' in carrier\n", "")),
+        ("query comprehension(subset(X, a))\nlet s = subset(X, zz)\n",
+         (2, "", "parse error: line 4, col 1: no element 'zz' in carrier\n")),
+    ])
+    def test_unknown_label_is_one_unquoted_line(self, tmp_path, capsys, line, expected):
+        path = tmp_path / "sc.scn"
+        path.write_text("instance classical\nlet X = carrier(a, b)\n" + line)
+        assert (cli.main(["run", str(path)]), *capsys.readouterr()) == expected
+
+
+# -- one message form for every call -------------------------------------------
+#
+# Every row of every instance's CONSTRUCTORS and OPERATIONS is called from a
+# let line: with an argument of another type at each listed position, and,
+# if its arity is fixed, with one argument too many.  Per instance: its
+# declarations and a name or literal for each type a position takes.
+
+ROW_SCOPES = {
+    "classical": ("let C = carrier(a, b)\nlet P = subset(C, a)\nlet F = finmap(C, C, a, b)\n"
+                  "let E = elem(C, a)\nlet A = mo(1)\n",
+                  {str: "a", float: "0.5", classical.FinSet: "C", classical.BoolPredicate: "P",
+                   classical.FinMap: "F", scenario.Element: "E", FiniteEffectAlgebra: "A"}),
+    "stochastic": ("let C = carrier(a, b)\nlet P = fuzzy(C, 0.5, 1)\nlet D = dist(C, 0.5, 0.5)\n"
+                   "let F = stochmap(C, C, 1, 0, 0, 1)\nlet A = mo(1)\n",
+                   {str: "a", float: "0.5", classical.FinSet: "C", stochastic.FuzzyPredicate: "P",
+                    stochastic.Distribution: "D", stochastic.StochasticMap: "F",
+                    FiniteEffectAlgebra: "A"}),
+    "quantum": ("let P = predicate(projector(ket0))\nlet D = density(P)\n"
+                "let F = isometry(hadamard)\nlet A = mo(1)\n",
+                {float: "0.5", np.ndarray: "hadamard", PureState: "ket0", QPredicate: "P",
+                 quantum.DensityMatrix: "D", quantum.Isometry: "F", FiniteEffectAlgebra: "A"}),
+}
+CALL_ROWS = [(instance, fn) for instance in ROW_SCOPES
+             for table in (scenario.CONSTRUCTORS, scenario.OPERATIONS) for fn in table[instance]]
+
+
+def _types(instance: str, fn: str) -> tuple:
+    return scenario._CALLS[instance][fn][0]
+
+
+def _sample(instance: str, kind) -> str:
+    samples = ROW_SCOPES[instance][1]
+    return next(samples[t] for t in (kind if isinstance(kind, tuple) else (kind,)) if t in samples)
+
+
+def _refusal(instance: str, call: str) -> ScenarioError:
+    """The parse error of a scenario of the instance whose last line lets ``call``."""
+    head = f"instance {instance}\n{ROW_SCOPES[instance][0]}"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(f"{head}let v = {call}\n")
+    assert err.value.line == head.count("\n") + 1
+    return err.value
+
+
+@pytest.mark.parametrize("row", CALL_ROWS, ids="-".join)
+def test_argument_of_another_type_is_one_message(row):
+    instance, fn = row
+    listed = [t for t in _types(instance, fn) if t is not ...]
+    for i, kind in enumerate(listed):
+        args = [_sample(instance, t) for t in listed]
+        args[i] = "A" if issubclass(float, kind) else "0.5"
+        message = _refusal(instance, f"{fn}({', '.join(args)})").message
+        assert re.fullmatch(rf"argument {i + 1} of {fn} must be an? [a-z ]+", message)
+
+
+@pytest.mark.parametrize("row", [row for row in CALL_ROWS if ... not in _types(*row)],
+                         ids="-".join)
+def test_one_argument_too_many_is_a_parse_error_at_the_call(row):
+    instance, fn = row
+    types = _types(instance, fn)
+    args = [_sample(instance, t) for t in types + types[-1:]]
+    err = _refusal(instance, f"{fn}({', '.join(args)})")
+    assert (err.col, err.message) == (9, f"{fn} takes {len(types)} arguments, got {len(types) + 1}")
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_call_lists_match_the_tables():
+    rows = re.search(r"Constructors by instance:\n\n(.*?)\n\n", README, re.S).group(1)
+    listed = {}
+    for row in rows.splitlines()[2:]:
+        instance, calls = (cell.strip() for cell in row.strip().strip("|").split("|"))
+        listed[instance] = set(re.findall(r"`(\w+)\(", calls))
+    shared = listed.pop("any")
+    assert {name: calls | shared for name, calls in listed.items()} == {
+        name: set(table) for name, table in scenario.CONSTRUCTORS.items()}
+    kinds = re.search(r"Query kinds:(.*?)\.\s", README, re.S).group(1)
+    assert set(re.findall(r"`(\w+)\(", kinds)) == set().union(*scenario.OPERATIONS.values())
 
 
 # -- no scenario text crashes the runner ---------------------------------------
