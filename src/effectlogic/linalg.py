@@ -1,13 +1,15 @@
 """Dense complex linear algebra for Hermitian matrices.
 
-The eigendecomposition, operator square roots, the semidefinite (Loewner)
-order, traces and kernel bases.  Matrices are numpy arrays of complex128.
-Every eigenvector solve goes through ``eigen_hermitian``: LAPACK's
-``numpy.linalg.eigh``, eigenvalues descending, the solver's own vectors,
-which square roots (functions of the matrix) take as they come.  The root
-functions take a decomposition, so a caller that keeps one solves once.
-Checks that read only the extremes of a spectrum take its eigenvalues
-alone from ``numpy.linalg.eigvalsh``.  Kernel bases are output, and golden
+The eigendecomposition, operator square roots, traces and kernel bases.
+Matrices are numpy arrays of complex128.  Every eigenvector solve goes
+through ``eigen_hermitian``: LAPACK's ``numpy.linalg.eigh``, eigenvalues
+descending, the solver's own vectors, which square roots (functions of
+the matrix) take as they come.  The root functions take a decomposition,
+so a caller that keeps one solves once.  Checks that read only the
+extremes of a spectrum take its eigenvalues alone from
+``numpy.linalg.eigvalsh``.  Both solves read their input through one
+pass, which checks it Hermitian within ``EPS`` and builds the Hermitian
+part the solver is given.  Kernel bases are output, and golden
 outputs depend on them, so ``kernel_basis`` alone fixes a gauge, from the
 kernel itself, in which any correct solver gives the same columns.
 """
@@ -51,15 +53,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def hermitian_deviation(a: np.ndarray) -> float:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - dagger(a))))
-
-
 class HermitianEigen(NamedTuple):
     """Real eigenvalues (descending) and the solver's orthonormal eigenvector columns."""
 
@@ -68,10 +61,15 @@ class HermitianEigen(NamedTuple):
 
 
 def _checked_hermitian(a) -> np.ndarray:
+    """The Hermitian part of ``a``, which must be square and Hermitian
+    within ``config.EPS`` per entry: one pass checks it and builds it."""
     a = as_matrix(a)
-    if not hermitian_deviation(a) <= config.EPS:  # NaN fails it
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    skew = a - dagger(a)
+    if skew.size and not np.max(np.abs(skew)) <= config.EPS:  # NaN fails it
         raise ValueError(f"matrix is not Hermitian within {config.EPS}")
-    return a
+    return a - skew / 2.0
 
 
 def eigen_hermitian(a) -> HermitianEigen:
@@ -81,7 +79,7 @@ def eigen_hermitian(a) -> HermitianEigen:
     entry and is symmetrised before the decomposition.  The vectors are
     the solver's own, in no gauge.
     """
-    values, vecs = np.linalg.eigh(hermitian_part(_checked_hermitian(a)))
+    values, vecs = np.linalg.eigh(_checked_hermitian(a))
     return HermitianEigen(values[::-1].copy(), vecs[:, ::-1])
 
 
@@ -91,21 +89,7 @@ def eigvals_hermitian(a) -> np.ndarray:
     Same input checks as ``eigen_hermitian``; for the checks that read
     only the extremes of a spectrum.
     """
-    return np.linalg.eigvalsh(hermitian_part(_checked_hermitian(a)))[::-1]
-
-
-def is_psd(a) -> bool:
-    """Positive semidefinite: smallest eigenvalue at least -EPS."""
-    values = eigvals_hermitian(a)
-    return bool(values.size == 0 or values[-1] >= -config.EPS)
-
-
-def loewner_leq(a, b) -> bool:
-    """a <= b in the semidefinite order: b - a is positive semidefinite."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    return is_psd(b - a)
+    return np.linalg.eigvalsh(_checked_hermitian(a))[::-1]
 
 
 def trace(a) -> complex:

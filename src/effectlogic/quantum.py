@@ -14,7 +14,9 @@ Each value is validated once, from its eigenvalues alone, and not at all
 when its bounds follow from bounds already checked: spec(I - A) is
 1 - spec(A) and spec(s A) is s spec(A).  A measured density matrix is
 not diagonalised for that reason, nor are the tests sqrt(A) B sqrt(A)
-and sqrt(A) B sqrt(A) + I - A while A <= I.  A substitution f* A f is
+and sqrt(A) B sqrt(A) + I - A while A <= I, and the classifier, whose
+stacked roots square to complementary spectra, is an isometry by
+construction and gets no Gram check.  A substitution f* A f is
 checked, as is a test on an A admitted above I: their inputs may exceed
 [0, 1] by EPS, and unchecked results would drift further at each step of
 a chain.  A predicate is decomposed at most once, on first use
@@ -47,7 +49,6 @@ from .linalg import (
     eigen_hermitian,
     eigvals_hermitian,
     finite_matrix,
-    hermitian_deviation,
     hermitian_part,
     kernel_basis,
     sqrt_psd,
@@ -104,9 +105,9 @@ Effect = QPredicate
 
 
 def _implied(m: np.ndarray, cls=QPredicate):
-    """A ``QPredicate`` (or a ``DensityMatrix``) whose checks are implied,
-    by checks already made on the values it derives from or by a spectrum
-    known in advance, so it is not diagonalised."""
+    """A ``QPredicate`` (or a ``DensityMatrix``, an ``Isometry``) whose
+    checks are implied, by checks already made on the values it derives
+    from or by its construction, so it is not checked again."""
     value = object.__new__(cls)
     object.__setattr__(value, "matrix", _frozen(m))
     return value
@@ -151,8 +152,9 @@ class DensityMatrix:
         vals = eigvals_hermitian(m)
         if vals.size and not vals[-1] >= -config.EPS:
             raise ValueError("density matrix must be positive semidefinite")
-        if abs(trace(m).real - 1.0) > config.EPS:
-            raise ValueError(f"trace {trace(m).real} is not 1")
+        tr = trace(m).real
+        if abs(tr - 1.0) > config.EPS:
+            raise ValueError(f"trace {tr} is not 1")
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -266,9 +268,10 @@ def char_sqrt(p: QPredicate) -> Isometry:
     The 2n x n stack of the two component square roots; pulling the
     canonical left predicate of the doubled space back along it recovers
     the predicate.  Both roots come from the predicate's one decomposition
-    A = V L V*, as V sqrt(L) V* and V sqrt(1 - L) V*.
+    A = V L V*, as V sqrt(L) V* and V sqrt(1 - L) V*, whose squares sum
+    to V V* = I: an isometry by construction, not checked again.
     """
-    return Isometry(np.vstack(complementary_sqrts(p.spectrum)))
+    return _implied(np.vstack(complementary_sqrts(p.spectrum)), Isometry)
 
 
 def omega_predicate(n: int) -> QPredicate:
@@ -384,7 +387,7 @@ def projective_compose(projections: Sequence[QPredicate | np.ndarray]) -> Projec
     for m in mats:
         if m.shape != (n, n):
             raise ValueError("projections must share a dimension")
-        if np.max(np.abs(m @ m - m)) > tol or hermitian_deviation(m) > tol:
+        if np.max(np.abs(m @ m - m)) > tol or np.max(np.abs(m - dagger(m))) > tol:
             raise ValueError("input is not a projection")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):

@@ -12,9 +12,9 @@ list of ``query`` lines.  The grammar is deliberately small:
 where EXPR is a name, a number, a constructor call, or a matrix literal
 ``matrix R C`` followed by R rows of ``a+bi`` entries.  Query arguments
 may nest constructor and test calls, at most ``MAX_DEPTH`` deep.  Each
-line is checked as it is read (declared names, known calls, the arity of
-fixed-arity calls, bare labels), and the first fault in reading order is
-reported.  Declarations are evaluated at load time so that invariant
+line is checked as it is read (declared names, the instance's own calls,
+the arity of fixed-arity calls, bare labels), and the first fault in
+reading order is reported.  Declarations are evaluated at load time so that invariant
 violations are reported with their line number.
 
 Each instance is a static table of built-ins and one row per call: its
@@ -199,10 +199,9 @@ class _ExprParser:
         if depth > MAX_DEPTH:
             raise ScenarioError(f"calls nest deeper than {MAX_DEPTH}", self.line, col)
         row = self.scope.calls.get(fn)
-        if row is None and fn not in QUERY_ARITY:
+        if row is None:
             raise ScenarioError(f"unknown constructor {fn!r}", self.line, col)
-        # a query of another instance is read by its arity; evaluation refuses it
-        types = row[0] if row else (object,) * QUERY_ARITY[fn]
+        types = row[0]
         arity = None if types[-1] is ... else len(types)
         labels = types.index(str) if str in types else math.inf  # labels come last
         self.take()
@@ -312,7 +311,7 @@ def parse_scenario(text: str) -> Scenario:
             kind = parser.take_operand()
             if kind[0] != "name" or not parser.at("("):
                 raise ScenarioError("a query must be KIND(ARGS)", lineno)
-            if kind[1] not in QUERY_ARITY:
+            if kind[1] not in OPERATIONS[scenario.instance]:
                 raise ScenarioError(f"unknown query kind {kind[1]!r}", lineno, kind[2])
             expr = parser.parse_call(kind, 1)
             precision = None
@@ -362,10 +361,7 @@ class _Evaluator:
 
     def call(self, fn: str, args: tuple):
         """Apply the row of ``fn`` to the values of ``args``, checking their types."""
-        row = self.calls.get(fn)
-        if row is None:  # a query kind of another instance, which the parser admits
-            raise QueryError(f"{fn} is not a {self.scenario.instance} query")
-        types, apply = row
+        types, apply = self.calls[fn]  # the parser has checked the name
         tail = ()
         if types[-1] is ...:  # the type before it, once for each further argument
             fixed, kind = len(types) - 2, types[-2]
@@ -546,8 +542,6 @@ OPERATIONS: dict[str, dict[str, tuple[tuple, Callable]]] = {
     },
 }
 
-QUERY_ARITY = {kind: len(types) for table in OPERATIONS.values()
-               for kind, (types, _) in table.items()}
 _CALLS = {name: {**CONSTRUCTORS[name], **OPERATIONS[name]} for name in CONSTRUCTORS}
 
 

@@ -7,9 +7,11 @@ two-route comparisons (direct versus spectral pairing, matrix route
 versus triple-sum route) as internal oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from effectlogic import config, quantum, scenario
@@ -307,6 +309,24 @@ class TestSolverCounts:
         assert np.array_equal(flipped.matrix, p.perp().matrix)
         assert np.max(np.abs(flipped.perp().matrix - p.matrix)) < 1e-15
 
+    def test_scenario_checks_each_value_once(self, solver_calls, monkeypatch):
+        # the predicate is admitted by one eigvalsh, its first measurement
+        # decomposes it once, and the classifier gets no Gram check
+        gram_checks = []
+        check = Isometry.__post_init__
+        monkeypatch.setattr(Isometry, "__post_init__",
+                            lambda self: gram_checks.append(1) or check(self))
+        sc = scenario.parse_scenario(
+            "instance quantum\nlet M = matrix 2 2\n0.75 0.25\n0.25 0.25\n"
+            "let p = predicate(M)\nquery measure(p, ket0)\nquery measure(p, density(M))\n")
+        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        pure, mixed = sc.queries
+        assert scenario.run(replace(sc, queries=[pure]))[1]
+        assert solver_calls == {"eigh": 1, "eigvalsh": 1} and not gram_checks
+        # density(M) is admitted by its own eigvalsh; p is not solved again
+        assert scenario.run(replace(sc, queries=[mixed]))[1]
+        assert solver_calls == {"eigh": 1, "eigvalsh": 2} and not gram_checks
+
     @pytest.mark.parametrize("constructor", ["predicate", "effect"])
     def test_scenario_predicate_of_a_projector_reads_one_spectrum(self, solver_calls, constructor):
         # the projector is validated once; predicate() returns a predicate as it is
@@ -444,6 +464,30 @@ class TestClassifier:
         stacked = char_sqrt(p).matrix
         assert np.allclose(stacked[:2], np.eye(2) / np.sqrt(2))
         assert np.allclose(stacked[2:], np.eye(2) / np.sqrt(2))
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-15])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_classifier_is_an_isometry_that_recovers_p(self, restore_config, eps, n, data, seed):
+        # eigenvalues at, within eps of, and eps outside 0 and 1; p is
+        # admitted at the default EPS and its classifier built under eps
+        config.set_epsilon(1e-9)
+        near = st.floats(0.0, 0.99).map(lambda t: t * eps)
+        value = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]),
+                          near, near.map(lambda d: 1.0 - d),
+                          near.map(lambda d: -d), near.map(lambda d: 1.0 + d))
+        u = random_isometry(np.random.default_rng(seed), n, n).matrix
+        spectrum = data.draw(st.lists(value, min_size=n, max_size=n))
+        p = QPredicate(hermitian_part(u @ np.diag(spectrum) @ dagger(u)))
+        config.set_epsilon(eps)
+        f = char_sqrt(p)
+        assert np.max(np.abs(dagger(f.matrix) @ f.matrix - np.eye(n))) < 1e-12
+        # substitute checks its result at EPS, and at 1e-15 the rounding
+        # of f* A f alone (n ulp) can exceed it, so it runs at the default
+        config.set_epsilon(1e-9)
+        recovered = substitute(f, omega_predicate(n)).matrix
+        assert np.max(np.abs(recovered - p.matrix)) < eps + 1e-12
 
 
 class TestOmega:

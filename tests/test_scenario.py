@@ -176,14 +176,12 @@ class TestRunning:
             "let p = fuzzy(c, 0.5, 0.5)\n"
             "# a comment keeps line and query numbers apart\n"
             "query multiply(0.5, p)\n"
-            "query born(p, p)\n"
             "query measure(p, c)\n"
         ))
         assert not ok
         assert out.splitlines() == [
             "0: multiply = [0.250000000, 0.250000000]",
-            "1: born = error: line 6: born is not a stochastic query",
-            "2: measure = error: line 7: argument 2 of measure must be a distribution",
+            "1: measure = error: line 6: argument 2 of measure must be a distribution",
         ]
         # every quantum predicate position, and every matrix position, takes a QPredicate
         out, ok = run(parse_scenario(
@@ -891,9 +889,9 @@ PARSE_ERRORS = [
     (QUANTUM_HEAD, 'let d = density(ket0)\n', (2, 1, 'argument 1 of density must be a matrix')),
     # an overflowing literal reads as inf, which is no natural number
     (CLASSICAL_HEAD, 'let m = mo(1e999)\n', (3, 1, 'mo takes one natural number')),
-    # matrix entries are finite, and a spectrum that overflows to NaN is no effect's
+    # matrix entries are finite, and a spectrum that overflows is no effect's
     (QUANTUM_HEAD, 'let m = matrix 2 2\n1e308 1e308\n1e308 1e308\nlet q = predicate(m)\n',
-     (5, 1, 'effect spectrum [nan, nan] leaves [0, 1]')),
+     (5, 1, 'effect spectrum [0.0, inf] leaves [0, 1]')),
     (QUANTUM_HEAD, 'let m = matrix 2 2\n1e999 0\n0 0.5\n', (2, 1, 'matrix entries must be finite')),
     # rows are counted before the matrix is allocated
     (QUANTUM_HEAD, 'let m = matrix 1 1000000000000\n1\n',
@@ -904,6 +902,10 @@ PARSE_ERRORS += [
     (CLASSICAL_HEAD, 'query measure(subset(X, a), elem(X, a, b))\n', (3, 29, 'elem takes 2 arguments, got 3')),
     (QUANTUM_HEAD, 'query born(ket0, projector())\n', (2, 18, 'projector takes 1 arguments, got 0')),
     (CLASSICAL_HEAD, 'query axioms(mo(1, 2))\n', (3, 14, 'mo takes 1 arguments, got 2')),
+    # a call of another instance is refused as it is read, at the head or nested
+    (STOCHASTIC_HEAD, 'query born(p, p)\n', (5, 7, "unknown query kind 'born'")),
+    (CLASSICAL_HEAD, 'query andthen(subset(X, a), multiply(0.5, subset(X, a)))\n',
+     (3, 29, "unknown constructor 'multiply'")),
 ]
 
 # Lines with two faults: the static checks run as the parser reads, so the
@@ -1183,8 +1185,8 @@ def test_readme_call_lists_match_the_tables():
 
 SHIPPED = [path.read_text() for path in
            sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))]
-CALLS = sorted({fn for table in scenario.CONSTRUCTORS.values() for fn in table}
-               | set(scenario.QUERY_ARITY))
+CALLS = sorted({fn for table in (*scenario.CONSTRUCTORS.values(), *scenario.OPERATIONS.values())
+                for fn in table})
 LEAVES = ["zz", "ket0", "hadamard", "a", "u", "sunny", "0", "1", "2", "0.5", "-1",
           "1e308", "-1e308", "1e999"]
 WORDS = (["instance", "let", "query", "classical", "stochastic", "quantum", "matrix",
@@ -1200,12 +1202,14 @@ def _line(draw) -> str:
 def _calls(instance: str, names: list[str]):
     # calls of the scenario's instance over its names, query calls with
     # their arity, so that most draws reach evaluation
+    queries = scenario.OPERATIONS[instance]
+
     def call(fn, args):
-        arity = scenario.QUERY_ARITY.get(fn)
+        arity = len(queries[fn][0]) if fn in queries else None
         return st.lists(args, min_size=arity or 0, max_size=arity or 4).map(
             lambda xs: f"{fn}({', '.join(xs)})")
 
-    fns = sorted(scenario.CONSTRUCTORS[instance]) + sorted(scenario.OPERATIONS[instance])
+    fns = sorted(scenario.CONSTRUCTORS[instance]) + sorted(queries)
     return st.recursive(
         st.sampled_from(names + LEAVES[1:]),
         lambda args: st.sampled_from(fns).flatmap(lambda fn: call(fn, args)),
