@@ -186,19 +186,6 @@ def check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
     return AxiomReport(True)
 
 
-def derived_leq(ea: FiniteEffectAlgebra, x: int, y: int) -> bool:
-    """x <= y iff some z satisfies x + z = y (exhaustive search)."""
-    return any(ea.sums.get((x, z)) == y for z in ea.elements)
-
-
-def partial_minus(ea: FiniteEffectAlgebra, x: int, y: int) -> Optional[int]:
-    """x - y: the unique z with y + z = x, or None when y is not below x."""
-    for z in ea.elements:
-        if ea.sums.get((y, z)) == x:
-            return z
-    return None
-
-
 def owedge(ea: FiniteEffectAlgebra, x: int, y: int) -> Optional[int]:
     """The dual partial operation (x' + y')', or None when undefined."""
     s = ea.sums.get((ea.perp[x], ea.perp[y]))
@@ -380,18 +367,6 @@ def opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, sums, dict(ea.perp), dict(ea.names))
 
 
-def is_homomorphism(source: FiniteEffectAlgebra, target: FiniteEffectAlgebra,
-                    mapping: Mapping[int, int]) -> bool:
-    """Unit preservation plus preservation of every defined sum."""
-    if mapping[source.one] != target.one:
-        return False
-    for (x, y), v in source.sums.items():
-        img = target.sums.get((mapping[x], mapping[y]))
-        if img is None or img != mapping[v]:
-            return False
-    return True
-
-
 def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlgebra,
                             cap: int = DEFAULT_HOM_SEARCH_CAP) -> list[EAHom]:
     """All homomorphisms, by depth-first search over partial maps.
@@ -448,11 +423,3 @@ def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlg
             depth += 1
     return found
 
-
-def dump_algebra(ea: FiniteEffectAlgebra) -> str:
-    """One line per defined sum entry, ``x + y = z``, sorted by ids."""
-    lines = []
-    for (x, y) in sorted(ea.sums):
-        v = ea.sums[(x, y)]
-        lines.append(f"{ea.name_of(x)} + {ea.name_of(y)} = {ea.name_of(v)}")
-    return "\n".join(lines) + ("\n" if lines else "")

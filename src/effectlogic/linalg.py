@@ -1,17 +1,16 @@
 """Dense complex linear algebra for Hermitian matrices.
 
 The eigendecomposition, operator square roots, traces and kernel bases.
-Matrices are numpy arrays of complex128.  Every eigenvector solve goes
-through ``eigen_hermitian``: LAPACK's ``numpy.linalg.eigh``, eigenvalues
-descending, the solver's own vectors, which square roots (functions of
-the matrix) take as they come.  The root functions take a decomposition,
-so a caller that keeps one solves once.  Checks that read only the
-extremes of a spectrum take its eigenvalues alone from
-``numpy.linalg.eigvalsh``.  Both solves read their input through one
+Matrices are numpy arrays of complex128.  Every solve goes through
+``eigen_hermitian``: LAPACK's ``numpy.linalg.eigh``, eigenvalues
+descending, the solver's own vectors.  It reads its input through one
 pass, which checks it Hermitian within ``EPS`` and builds the Hermitian
-part the solver is given.  Kernel bases are output, and golden
-outputs depend on them, so ``kernel_basis`` alone fixes a gauge, from the
-kernel itself, in which any correct solver gives the same columns.
+part the solver is given.  The functions built on a spectrum take a
+decomposition, so a caller that keeps one solves once.  Square roots
+(functions of the matrix) take the vectors as they come.  Kernel bases
+are output, and golden outputs depend on them, so ``kernel_basis`` alone
+fixes a gauge, from the kernel itself, in which any correct solver gives
+the same columns.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def _checked_hermitian(a) -> np.ndarray:
 
 
 def eigen_hermitian(a) -> HermitianEigen:
-    """Diagonalise a Hermitian matrix: the package's one eigenvector solve.
+    """Diagonalise a Hermitian matrix: the package's one solve.
 
     The input may deviate from Hermitian by at most ``config.EPS`` per
     entry and is symmetrised before the decomposition.  The vectors are
@@ -81,15 +80,6 @@ def eigen_hermitian(a) -> HermitianEigen:
     """
     values, vecs = np.linalg.eigh(_checked_hermitian(a))
     return HermitianEigen(values[::-1].copy(), vecs[:, ::-1])
-
-
-def eigvals_hermitian(a) -> np.ndarray:
-    """The eigenvalues of a Hermitian matrix, descending, without vectors.
-
-    Same input checks as ``eigen_hermitian``; for the checks that read
-    only the extremes of a spectrum.
-    """
-    return np.linalg.eigvalsh(_checked_hermitian(a))[::-1]
 
 
 def trace(a) -> complex:
@@ -141,14 +131,15 @@ def kernel_band() -> float:
     return min(config.POST_EPS, 0.5)
 
 
-def kernel_basis(a) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspaces with |eigenvalue| < kernel_band().
+def kernel_basis(eig: HermitianEigen) -> np.ndarray:
+    """Orthonormal columns spanning the eigenspaces with |eigenvalue| < kernel_band(),
+    from the decomposition ``eigen_hermitian(a)``.
 
     The columns are selected on the solver's own vectors, then put in the
     canonical gauge, which depends on the selected subspace alone.
     Returns an n x 0 matrix when the kernel is trivial.
     """
-    values, vecs = eigen_hermitian(a)
+    values, vecs = eig
     kernel = vecs[:, np.abs(values) < kernel_band()]
     return _kernel_gauge(kernel) if kernel.shape[1] else kernel
 

@@ -10,18 +10,18 @@ scalings, substitution, the tests "and then" and "then", Born
 probabilities, the state functional) works on ``QPredicate``, as the
 other two instances work on theirs.
 
-Each value is validated once, from its eigenvalues alone, and not at all
-when its bounds follow from bounds already checked: spec(I - A) is
-1 - spec(A) and spec(s A) is s spec(A).  A measured density matrix is
-not diagonalised for that reason, nor are the tests sqrt(A) B sqrt(A)
-and sqrt(A) B sqrt(A) + I - A while A <= I, and the classifier, whose
-stacked roots square to complementary spectra, is an isometry by
-construction and gets no Gram check.  A substitution f* A f is
-checked, as is a test on an A admitted above I: their inputs may exceed
-[0, 1] by EPS, and unchecked results would drift further at each step of
-a chain.  A predicate is decomposed at most once, on first use
-(``QPredicate.spectrum``); its square roots, its classifier and its
-spectral probability all read that one decomposition.
+Each value is validated once, and not at all when its bounds follow from
+bounds already checked: spec(I - A) is 1 - spec(A) and spec(s A) is
+s spec(A).  A measured density matrix is not diagonalised for that
+reason, nor are the tests sqrt(A) B sqrt(A) and sqrt(A) B sqrt(A) + I - A
+while A <= I, and the classifier, whose stacked roots square to
+complementary spectra, is an isometry by construction and gets no Gram
+check.  A substitution f* A f is checked, as is a test on an A admitted
+above I: their inputs may exceed [0, 1] by EPS, and unchecked results
+would drift further at each step of a chain.  A predicate is decomposed
+once (``QPredicate.spectrum``), when it is admitted or, built unchecked,
+on first use; its square roots, classifier, spectral probability and
+comprehension all read that decomposition.
 
 Substitution along an isometry f is conjugation f* A f of the left part;
 its scalar case (f a unit column vector) is the probability of the
@@ -47,7 +47,6 @@ from .linalg import (
     complementary_sqrts,
     dagger,
     eigen_hermitian,
-    eigvals_hermitian,
     finite_matrix,
     hermitian_part,
     kernel_basis,
@@ -77,8 +76,10 @@ class QPredicate:
 
     def __post_init__(self):
         m = finite_matrix(self.matrix)
-        _check_effect_spectrum(eigvals_hermitian(m))
+        eig = eigen_hermitian(m)
+        _check_effect_spectrum(eig.eigenvalues)
         object.__setattr__(self, "matrix", _frozen(m))
+        self.__dict__["spectrum"] = eig
 
     @property
     def dim(self) -> int:
@@ -86,8 +87,8 @@ class QPredicate:
 
     @cached_property
     def spectrum(self) -> HermitianEigen:
-        """The one decomposition of the left part, taken on first use; the
-        square roots and the spectral probability all read it."""
+        """The one decomposition of the left part.  A checked predicate takes
+        it when it is admitted; one built unchecked takes it on first use."""
         return eigen_hermitian(self.matrix)
 
     def perp(self) -> "QPredicate":
@@ -149,7 +150,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = finite_matrix(self.matrix)
-        vals = eigvals_hermitian(m)
+        vals = eigen_hermitian(m).eigenvalues
         if vals.size and not vals[-1] >= -config.EPS:
             raise ValueError("density matrix must be positive semidefinite")
         tr = trace(m).real
@@ -201,16 +202,18 @@ class Isometry:
 def orthosum(p: QPredicate, q: QPredicate):
     """Pointwise sum of the left parts when it stays below the identity.
 
-    One spectrum of the sum decides its definedness and its validity.
+    One decomposition of the sum decides definedness and validity; the sum keeps it.
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     s = p.matrix + q.matrix
-    vals = eigvals_hermitian(s)
-    if vals.size and vals[0] > 1.0 + config.EPS:
+    eig = eigen_hermitian(s)
+    if eig.eigenvalues.size and eig.eigenvalues[0] > 1.0 + config.EPS:
         return None
-    _check_effect_spectrum(vals)
-    return _implied(s)
+    _check_effect_spectrum(eig.eigenvalues)
+    out = _implied(s)
+    out.__dict__["spectrum"] = eig
+    return out
 
 
 def probability_multiply(s: float, p: QPredicate) -> QPredicate:
@@ -419,9 +422,11 @@ def comprehension(q: QPredicate) -> Isometry:
     """The subspace where q holds outright: the kernel of the right part I - A.
 
     Returns the inclusion isometry (possibly with zero columns).  On that
-    subspace the left part acts as the identity.
+    subspace the left part acts as the identity.  I - A is read off A's
+    decomposition: eigenvalues 1 - l on the same vectors.
     """
-    return Isometry(kernel_basis(np.eye(q.dim) - q.matrix))
+    values, vectors = q.spectrum
+    return Isometry(kernel_basis(HermitianEigen(1.0 - values[::-1], vectors[:, ::-1])))
 
 
 def bifmrel_substitute(r, n) -> np.ndarray:
@@ -460,7 +465,7 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> Isometry:
 def random_predicate(rng: np.random.Generator, n: int) -> QPredicate:
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = hermitian_part(m)
-    vals = eigvals_hermitian(h)
+    vals = eigen_hermitian(h).eigenvalues
     lo, hi = float(vals[-1]), float(vals[0])
     span = max(hi - lo, 1.0)
     scaled = (h - lo * np.eye(n)) / span

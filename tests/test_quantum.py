@@ -177,7 +177,8 @@ class TestToleranceContract:
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Counts of LAPACK Hermitian solves: full (eigh) and eigenvalues-only."""
+    """Counts of LAPACK Hermitian solves: full (eigh) and eigenvalues-only,
+    which the package must never call."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
@@ -188,16 +189,18 @@ def solver_calls(monkeypatch):
 
 
 class TestSolverCounts:
-    """Each value is validated once, from eigenvalues alone."""
+    """A checked predicate is solved once, by one eigh when it is admitted,
+    and every later operation on it reads that decomposition; eigvalsh is
+    never called."""
 
     M = np.array([[0.5, 0.1 - 0.2j, 0.0], [0.1 + 0.2j, 0.3, 0.1], [0.0, 0.1, 0.6]])
 
     def test_from_effect_reads_one_spectrum(self, solver_calls):
         p = QPredicate.from_effect(self.M)
-        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0}
         assert np.array_equal(p.perp().matrix, np.eye(3) - p.matrix)
         assert not p.perp().matrix.flags.writeable
-        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0}
 
     @pytest.mark.parametrize("constant", [truth, falsity, omega_predicate])
     def test_constants_have_known_spectra(self, solver_calls, constant):
@@ -216,11 +219,22 @@ class TestSolverCounts:
         q = QPredicate.from_effect(np.eye(3) / 4)
         big = QPredicate.from_effect(self.M)
         for left, right, defined in ((p, q, True), (big, big, False)):
-            before = solver_calls["eigvalsh"]
+            before = solver_calls["eigh"]
             out = orthosum(left, right)
             assert (out is not None) == defined
-            assert solver_calls["eigvalsh"] == before + 1
-        assert solver_calls["eigh"] == 0
+            assert solver_calls["eigh"] == before + 1
+        assert solver_calls["eigvalsh"] == 0
+
+    def test_orthosum_hands_its_decomposition_to_the_sum(self, solver_calls):
+        q = QPredicate.from_effect(np.eye(3) / 4)
+        out = orthosum(QPredicate.from_effect(self.M / 2), q)
+        before = dict(solver_calls)
+        andthen_op(out, q)
+        then_op(out, q)
+        char_sqrt(out)
+        assert solver_calls == before
+        values, vectors = out.spectrum
+        assert np.max(np.abs(vectors @ np.diag(values) @ dagger(vectors) - out.matrix)) < 1e-12
 
     def test_orthosum_keeps_lower_bound(self):
         dust = QPredicate(np.diag([-0.8e-9, 0.5]))
@@ -229,9 +243,9 @@ class TestSolverCounts:
 
     def test_char_sqrt_uses_one_decomposition(self, solver_calls):
         p = QPredicate.from_effect(self.M)
-        before = solver_calls["eigvalsh"]
+        before = dict(solver_calls)
         stacked = char_sqrt(p).matrix
-        assert solver_calls == {"eigh": 1, "eigvalsh": before}
+        assert solver_calls == before
         assert np.max(np.abs(stacked[:3] @ stacked[:3] - p.matrix)) < 1e-12
         assert np.max(np.abs(stacked[3:] @ stacked[3:] - p.perp().matrix)) < 1e-12
 
@@ -240,18 +254,19 @@ class TestSolverCounts:
         f = random_isometry(rng(), 3, 2)
         before = dict(solver_calls)
         pulled = substitute(f, p)
-        assert solver_calls == {"eigh": before["eigh"], "eigvalsh": before["eigvalsh"] + 1}
+        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": 0}
         v = f.matrix
         assert np.array_equal(pulled.matrix, dagger(v) @ p.matrix @ v)
 
     @pytest.mark.parametrize("test", [andthen_op, then_op])
-    def test_tests_decompose_p_alone(self, solver_calls, test):
-        # one eigh for sqrt(A); with A <= I the result needs no check
+    def test_tests_of_an_admitted_predicate_make_no_solve(self, solver_calls, test):
+        # sqrt(A) reads the admission's decomposition; with A <= I the
+        # result needs no check
         p = QPredicate.from_effect(self.M)
         q = QPredicate.from_effect(np.eye(3) / 4)
         before = dict(solver_calls)
         test(p, q)
-        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
+        assert solver_calls == before
 
     @pytest.mark.parametrize("test", [andthen_op, then_op])
     def test_tests_check_results_of_p_above_one(self, solver_calls, test):
@@ -260,15 +275,16 @@ class TestSolverCounts:
         q = QPredicate.from_effect(np.eye(3) / 4)
         before = dict(solver_calls)
         test(p, q)
-        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"] + 1}
+        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": 0}
 
     def test_measure_density_checks_no_result(self, solver_calls):
-        # one eigh for the classifier, and no eigvalsh of the 2n x 2n result
+        # the classifier reads the admission's decomposition, and the
+        # 2n x 2n result is not checked
         p = QPredicate.from_effect(self.M)
         rho = random_density(rng(), 3)
         before = dict(solver_calls)
         out = measure_density(p, rho)
-        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
+        assert solver_calls == before
         assert out.dim == 6 and not out.matrix.flags.writeable
 
     def test_one_decomposition_per_predicate(self, solver_calls):
@@ -279,14 +295,17 @@ class TestSolverCounts:
         before = dict(solver_calls)
         andthen_op(p, q)
         then_op(p, q)
+        char_sqrt(p)
         measure_density(p, rho)
         measure_pure(p, x)
         born_spectral(x, p)
-        assert solver_calls == {"eigh": before["eigh"] + 1, "eigvalsh": before["eigvalsh"]}
+        comprehension(p)
+        # one eigh each to admit p, q and rho, and none after
+        assert solver_calls == before == {"eigh": 3, "eigvalsh": 0}
 
     def test_projective_parts_feed_predicate_operations(self, solver_calls):
         # components and projectors are checked predicates already, so the
-        # probability rule and the tests read them without another check
+        # probability rule and the tests read them without another solve
         basis = random_isometry(rng(), 3, 3).matrix
         parts = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(3)]
         components = projective_compose(parts).components
@@ -299,7 +318,7 @@ class TestSolverCounts:
         for q in components:
             andthen_op(q, p)
             andthen_op(p, q)
-        assert solver_calls["eigvalsh"] == before["eigvalsh"]
+        assert solver_calls == before
 
     def test_perp_swaps_without_solving(self, solver_calls):
         p = QPredicate.from_effect(self.M)
@@ -310,8 +329,8 @@ class TestSolverCounts:
         assert np.max(np.abs(flipped.perp().matrix - p.matrix)) < 1e-15
 
     def test_scenario_checks_each_value_once(self, solver_calls, monkeypatch):
-        # the predicate is admitted by one eigvalsh, its first measurement
-        # decomposes it once, and the classifier gets no Gram check
+        # the predicate is admitted by one eigh, which its measurements
+        # read, and the classifier gets no Gram check
         gram_checks = []
         check = Isometry.__post_init__
         monkeypatch.setattr(Isometry, "__post_init__",
@@ -319,21 +338,39 @@ class TestSolverCounts:
         sc = scenario.parse_scenario(
             "instance quantum\nlet M = matrix 2 2\n0.75 0.25\n0.25 0.25\n"
             "let p = predicate(M)\nquery measure(p, ket0)\nquery measure(p, density(M))\n")
-        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0}
         pure, mixed = sc.queries
         assert scenario.run(replace(sc, queries=[pure]))[1]
-        assert solver_calls == {"eigh": 1, "eigvalsh": 1} and not gram_checks
-        # density(M) is admitted by its own eigvalsh; p is not solved again
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0} and not gram_checks
+        # density(M) is admitted by its own eigh; p is not solved again
         assert scenario.run(replace(sc, queries=[mixed]))[1]
-        assert solver_calls == {"eigh": 1, "eigvalsh": 2} and not gram_checks
+        assert solver_calls == {"eigh": 2, "eigvalsh": 0} and not gram_checks
 
     @pytest.mark.parametrize("constructor", ["predicate", "effect"])
     def test_scenario_predicate_of_a_projector_reads_one_spectrum(self, solver_calls, constructor):
         # the projector is validated once; predicate() returns a predicate as it is
         sc = scenario.parse_scenario(
             f"instance quantum\nlet p = {constructor}(projector(ketNE))\n")
-        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0}
         assert np.allclose(sc.declarations["p"].matrix, np.full((2, 2), 0.5))
+
+    def test_degenerate_comprehension_reads_the_admitted_decomposition(self, solver_calls):
+        # eigenvalues 1, 1 and 0.4: the kernel of I - A is the plane
+        # orthogonal to (1, 1, 1), and the solver may return any basis of it.
+        # The report is the one printed when comprehension solved I - A
+        # itself, the gauge being a function of the plane alone.
+        sc = scenario.parse_scenario(
+            "instance quantum\nlet M = matrix 3 3\n"
+            "0.8 -0.2 -0.2\n-0.2 0.8 -0.2\n-0.2 -0.2 0.8\n"
+            "let p = predicate(M)\nquery comprehension(p)\n")
+        before = dict(solver_calls)
+        assert before == {"eigh": 1, "eigvalsh": 0}
+        assert scenario.run(sc) == (
+            "0: comprehension = 3 2\n"
+            "0.816496581+0i -7.85046229e-17+0i\n"
+            "-0.40824829+0i 0.707106781+0i\n"
+            "-0.40824829+0i -0.707106781+0i\n", True)
+        assert solver_calls == before
 
 
 class TestImpliedBounds:

@@ -568,6 +568,19 @@ class TestCommandLine:
         assert cli.main(["run", str(path), "--eps", "0.1"]) == 0
         assert capsys.readouterr().out == "0: measure = 4 1\n1+0i\n0+0i\n0+0i\n0+0i\n"
 
+    def test_eps_below_rounding_refuses_computed_values(self, tmp_path, capsys, restore_config):
+        # H* |1><1| H is a projector computed to rounding: its top eigenvalue
+        # exceeds 1 by one unit in the last place, past a tolerance of 1e-16
+        path = tmp_path / "floor.scn"
+        path.write_text("instance quantum\nlet f = isometry(hadamard)\n"
+                        "query substitute(f, projector(ket1))\n")
+        assert cli.main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(path), "--eps", "1e-16"]) == 1
+        assert capsys.readouterr().out == (
+            "0: substitute = error: line 3: "
+            "effect spectrum [0.0, 1.0000000000000002] leaves [0, 1]\n")
+
     @pytest.mark.parametrize("text,certain", [
         ("instance stochastic\nlet c = carrier(a, b, d)\n"
          "query comprehension(fuzzy(c, 1, 0.5, 0))\n", "{a}"),

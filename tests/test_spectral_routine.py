@@ -1,9 +1,9 @@
-"""One spectral routine: LAPACK's solvers are called from two functions.
+"""One spectral routine: LAPACK's solvers are called from one function.
 
 Every module of the package is parsed, and each numpy eigen- or
 singular-value solver it names (``np.linalg.eigh`` and the like, or a
 name imported from ``numpy.linalg``) must sit inside
-``linalg.eigen_hermitian`` or ``linalg.eigvals_hermitian``.
+``linalg.eigen_hermitian``.
 """
 
 import ast
@@ -14,7 +14,7 @@ import pytest
 import effectlogic
 
 SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
-HOMES = {"eigen_hermitian", "eigvals_hermitian"}
+HOMES = {"eigen_hermitian"}
 PACKAGE = Path(effectlogic.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -47,15 +47,14 @@ def _uses(path: Path) -> list[tuple[int, str | None, str]]:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_module_solves_only_in_the_two_routines(path):
+def test_module_solves_only_in_the_one_routine(path):
     allowed = HOMES if path.name == "linalg.py" else set()
     stray = [use for use in _uses(path) if use[1] not in allowed]
     assert not stray, f"{path.name} calls a solver outside {sorted(HOMES)}: {stray}"
 
 
-def test_each_routine_makes_one_solve():
-    assert [use[1:] for use in _uses(PACKAGE / "linalg.py")] == [
-        ("eigen_hermitian", "eigh"), ("eigvals_hermitian", "eigvalsh")]
+def test_the_routine_makes_one_solve():
+    assert [use[1:] for use in _uses(PACKAGE / "linalg.py")] == [("eigen_hermitian", "eigh")]
 
 
 def test_checker_sees_a_stray_solve():
