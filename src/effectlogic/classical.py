@@ -201,10 +201,10 @@ def predicate_algebra(carrier: FinSet) -> FiniteEffectAlgebra:
 
     Element ids are membership bitmasks.  The tables come from 4^n calls of
     ``orthosum`` (and ``complement``), so the algebra reflects exactly this
-    module's operations, and n is capped at ``MAX_POWERSET_POINTS``.
+    module's operations, and 2^n is capped at ``MAX_ELEMENTS``.
     """
     n = carrier.size
-    if n > ea_mod.MAX_POWERSET_POINTS:
+    if 1 << n > ea_mod.MAX_ELEMENTS:
         raise ValueError("carrier too large to export exhaustively")
 
     def to_bits(p: BoolPredicate) -> int:

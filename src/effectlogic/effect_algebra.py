@@ -1,40 +1,44 @@
-"""Finite effect algebras as explicit tables.
+"""Finite effect algebras as dense tables.
 
 An effect algebra is a partial commutative monoid (0, +) together with an
 orthocomplement x -> x' such that x + x' = 1, x' is the only element
 summing with x to 1, and x + 1 is defined only for x = 0.  Everything in
-this module is finite and table-based: the partial sum is a dictionary
-from ordered pairs of element ids (missing key means undefined), so every
-law can be decided by enumeration.  The checks index the table by row
-(``x -> {y: x + y}``) and visit only defined entries: associativity costs
-one step per defined triple, not |sums| * |E|.  Homomorphisms are found
-by a depth-first search that checks each sum entry as soon as its three
-elements have images and cuts the branch at the first violation.
+this module is finite and table-based: the elements are 0..n-1, and the
+partial sum is one n x n integer array whose entry [x, y] is x + y, or -1
+where the pair is not summable.  A table is admitted once, when its
+algebra is built, so every law, construction and search reads an array
+that holds known ids only.  Each law is a whole-array comparison, and
+associativity one gather over the defined triples.  Homomorphisms are
+found by a depth-first search that checks each sum entry as soon as its
+three elements have images and cuts the branch at the first violation.
 
-Element ids are opaque small integers; display names live in a side
-table.  Undefined partial results are returned as ``None`` rather than
-raised, so that quantified law checks can range over definedness.
+Display names live in a side table.  Undefined partial results are
+returned as ``None`` rather than raised, so that quantified law checks
+can range over definedness.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 DEFAULT_HOM_SEARCH_CAP = 10_000_000
 
-# Largest algebras the constructors build, checked before allocating.  P(n)
-# has 3^n sum entries and 4^n defined triples to check (P(10): 0.3 s).
-MAX_MO_GENERATORS = 4096
-MAX_POWERSET_POINTS = 10
+# Largest algebra held, checked before allocating: P(10), whose table takes
+# 4 MB and whose 4^10 defined triples take 0.2 s to check.
+MAX_ELEMENTS = 1024
+
+_TRIPLE_BLOCK = 1 << 12  # defined triples gathered at once by the associativity check
 
 
 class MalformedAlgebraError(Exception):
     """A table references an unknown element or is structurally broken.
 
     Distinct from an axiom failure: a malformed table is not a candidate
-    algebra at all, so ``check_axioms`` raises instead of reporting.
+    algebra at all, so building it raises instead of ``check_axioms``
+    reporting.
     """
 
 
@@ -42,21 +46,79 @@ class HomSearchCapError(Exception):
     """The homomorphism search visited more partial maps than its cap allows."""
 
 
+class SumTable(Mapping):
+    """The read-only sum array, viewed as the mapping (x, y) -> x + y.
+
+    Only defined entries are keys; they iterate in row-major order, and
+    ``len`` counts them.
+    """
+
+    def __init__(self, array: np.ndarray):
+        self.array = np.asarray(array, dtype=np.int32)
+        self.array.flags.writeable = False
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        x, y = key
+        n = len(self.array)
+        if 0 <= x < n and 0 <= y < n and self.array.item(x, y) >= 0:
+            return self.array.item(x, y)
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        xs, ys = np.nonzero(self.array >= 0)
+        return zip(xs.tolist(), ys.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array >= 0))
+
+
+def _refuse_oversized(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"an algebra holds at most {MAX_ELEMENTS} elements, not {n}")
+
+
 @dataclass(frozen=True)
 class FiniteEffectAlgebra:
     """A finite effect-algebra candidate given by explicit tables.
 
-    ``sums`` maps ordered pairs (x, y) to x + y and omits undefined pairs;
-    ``perp`` is the total orthocomplement table.  Instances are plain data:
-    nothing is validated at construction, run ``check_axioms`` for that.
+    ``elements`` are 0..n-1.  ``sums`` maps ordered pairs (x, y) to x + y
+    and omits undefined pairs; it is read into a ``SumTable`` when the
+    algebra is built.  ``perp`` is the total orthocomplement table, kept
+    as a tuple indexed by element.  Building refuses an unknown id with
+    ``MalformedAlgebraError``; run ``check_axioms`` for the laws.
     """
 
     elements: tuple[int, ...]
     zero: int
     one: int
     sums: Mapping[tuple[int, int], int]
-    perp: Mapping[int, int]
+    perp: Mapping[int, int] | Sequence[int]
     names: Mapping[int, str]
+
+    def __post_init__(self) -> None:
+        n = len(self.elements)
+        _refuse_oversized(n)
+        if n == 0 or tuple(self.elements) != tuple(range(n)):
+            raise MalformedAlgebraError("the elements must be 0, 1, ..., n - 1 for some n > 0")
+        if not (0 <= self.zero < n and 0 <= self.one < n):
+            raise MalformedAlgebraError(f"0 = {self.zero} or 1 = {self.one} is not an element")
+        if not (isinstance(self.sums, SumTable) and self.sums.array.shape == (n, n)):
+            entries = np.array([(x, y, v) for (x, y), v in self.sums.items()],
+                               dtype=np.int64).reshape(-1, 3)
+            unknown = entries[((entries < 0) | (entries >= n)).any(axis=1)].tolist()
+            if unknown:
+                raise MalformedAlgebraError("sum entry {} + {} = {} references unknown element"
+                                            .format(*unknown[0]))
+            table = np.full((n, n), -1, dtype=np.int32)
+            table[entries[:, 0], entries[:, 1]] = entries[:, 2]
+            object.__setattr__(self, "sums", SumTable(table))
+        try:
+            perp = tuple(int(self.perp[x]) for x in range(n))
+        except (KeyError, IndexError):
+            raise MalformedAlgebraError("perp is not defined on every element") from None
+        if not all(0 <= p < n for p in perp):
+            raise MalformedAlgebraError("perp references an unknown element")
+        object.__setattr__(self, "perp", perp)
 
     @property
     def size(self) -> int:
@@ -99,44 +161,44 @@ class AxiomReport:
         return f"fail: {self.law} at ({pretty})"
 
 
-def _structural_check(ea: FiniteEffectAlgebra) -> None:
-    universe = set(ea.elements)
-    if not universe:
-        raise MalformedAlgebraError("empty universe")
-    if len(universe) != len(ea.elements):
-        raise MalformedAlgebraError("duplicate element ids")
-    if ea.zero not in universe:
-        raise MalformedAlgebraError(f"zero {ea.zero} not in universe")
-    if ea.one not in universe:
-        raise MalformedAlgebraError(f"one {ea.one} not in universe")
-    for (x, y), v in ea.sums.items():
-        if x not in universe or y not in universe or v not in universe:
-            raise MalformedAlgebraError(f"sum entry {x} + {y} = {v} references unknown element")
-    for x in ea.elements:
-        if x not in ea.perp:
-            raise MalformedAlgebraError(f"perp undefined on {x}")
-        if ea.perp[x] not in universe:
-            raise MalformedAlgebraError(f"perp({x}) = {ea.perp[x]} not in universe")
+def _first(bad: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The first index where ``bad`` holds, in row-major order, or None."""
+    i = int(bad.argmax())
+    return tuple(int(k) for k in np.unravel_index(i, bad.shape)) if bad.flat[i] else None
 
 
-def _rows(ea: FiniteEffectAlgebra) -> dict[int, dict[int, int]]:
-    """The sum table by row, ``rows[x] = {y: x + y}``, each row in element order.
+def _unassociative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The first triple with x + (y + z) defined but not equal to (x + y) + z.
 
-    Two linear passes and no sort: the first groups the entries by right
-    argument, the second walks those groups in element order, so every
-    row receives its keys in element order.
+    x + (y + z) is defined exactly for x in the row of y + z (the table is
+    commutative by now), so only defined triples are gathered: (y, z) in
+    row-major order, then x in that row, at most ``_TRIPLE_BLOCK`` at once.
+    Entries are addressed by their flat index ``row * n + column``.
     """
-    by_right: dict[int, dict[int, int]] = {x: {} for x in ea.elements}
-    rows: dict[int, dict[int, int]] = {x: {} for x in ea.elements}
-    try:
-        for (x, y), v in ea.sums.items():
-            by_right[y][x] = v
-        for y in ea.elements:
-            for x, v in by_right[y].items():
-                rows[x][y] = v
-    except KeyError as exc:
-        raise MalformedAlgebraError(f"sum table references unknown element {exc.args[0]}") from None
-    return rows
+    n = len(table)
+    flat = table.ravel()
+    defined = np.flatnonzero(flat >= 0)
+    row_start = np.searchsorted(defined, np.arange(n + 1) * n)
+    yzs = flat[defined]
+    counts = np.diff(row_start)[yzs]
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(defined):
+        done = ends[lo] - counts[lo]
+        hi = max(int(np.searchsorted(ends, done + _TRIPLE_BLOCK, side="right")), lo + 1)
+        runs = counts[lo:hi]
+        # the triples of pair k take defined[row_start[y + z] + i] for i < counts[k]
+        shift = np.repeat(row_start[yzs[lo:hi]] - (ends[lo:hi] - runs - done), runs)
+        outer = defined[np.arange(len(shift)) + shift]
+        pairs = np.repeat(defined[lo:hi], runs)
+        xs = outer % n
+        xys = flat[xs * n + pairs // n]
+        bad = (xys < 0) | (flat[xys * n + pairs % n] != flat[outer])
+        if bad.any():
+            k = int(bad.argmax())
+            return int(xs[k]), int(pairs[k] // n), int(pairs[k] % n)
+        lo = hi
+    return None
 
 
 def check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
@@ -145,57 +207,31 @@ def check_axioms(ea: FiniteEffectAlgebra) -> AxiomReport:
     Laws are tested in a fixed order (commutativity, associativity, zero
     identity, complement sum, the zero law ``x + 1 defined => x = 0``,
     uniqueness of complements) and the first failure is reported with a
-    minimal witness tuple.  Malformed tables raise instead.  The row index
-    only skips undefined pairs, so each witness is the first one that plain
-    loops over ``sums`` and ``elements`` would meet.
+    minimal witness tuple: the first in row-major order over pairs, and
+    for associativity over (y, z, x) with x in the row of y + z.
     """
-    _structural_check(ea)
-    sums = ea.sums
-
-    for (x, y), v in sums.items():
-        w = sums.get((y, x))
-        if w is None or w != v:
-            return AxiomReport(False, "commutativity", (x, y))
-
-    rows = _rows(ea)
-    # x + (y + z) is defined exactly for x in the row of y + z (commutativity
-    # holds from here on), so only defined triples are visited
-    for (y, z), yz in sums.items():
-        for x, outer in rows[yz].items():
-            xy = rows[x].get(y)
-            if xy is None or rows[xy].get(z) != outer:
-                return AxiomReport(False, "associativity", (x, y, z))
-
-    for x in ea.elements:
-        if sums.get((ea.zero, x)) != x:
-            return AxiomReport(False, "zero-identity", (x,))
-
-    for x in ea.elements:
-        if sums.get((x, ea.perp[x])) != ea.one:
-            return AxiomReport(False, "orthocomplement-sum", (x,))
-
-    for x in ea.elements:
-        if (x, ea.one) in sums and x != ea.zero:
-            return AxiomReport(False, "zero-law", (x,))
-
-    for x in ea.elements:
-        for y, v in rows[x].items():
-            if v == ea.one and y != ea.perp[x]:
-                return AxiomReport(False, "orthocomplement-uniqueness", (x, y))
-
+    table, one = ea.sums.array, ea.one
+    ids = np.arange(ea.size)
+    perp = np.array(ea.perp)
+    laws = (
+        ("commutativity", lambda: _first((table >= 0) & (table != table.T))),
+        ("associativity", lambda: _unassociative(table)),
+        ("zero-identity", lambda: _first(table[ea.zero] != ids)),
+        ("orthocomplement-sum", lambda: _first(table[ids, perp] != one)),
+        ("zero-law", lambda: _first((table[:, one] >= 0) & (ids != ea.zero))),
+        ("orthocomplement-uniqueness", lambda: _first((table == one) & (ids != perp[:, None]))),
+    )
+    for law, witness_of in laws:
+        witness = witness_of()
+        if witness is not None:
+            return AxiomReport(False, law, witness)
     return AxiomReport(True)
 
 
 def owedge(ea: FiniteEffectAlgebra, x: int, y: int) -> Optional[int]:
     """The dual partial operation (x' + y')', or None when undefined."""
-    s = ea.sums.get((ea.perp[x], ea.perp[y]))
+    s = ea.sum_of(ea.perp[x], ea.perp[y])
     return None if s is None else ea.perp[s]
-
-
-def _with_zero_rows(sums: dict[tuple[int, int], int], elements: Iterable[int], zero: int) -> None:
-    for x in elements:
-        sums[(zero, x)] = x
-        sums[(x, zero)] = x
 
 
 def mo_free(n: int) -> FiniteEffectAlgebra:
@@ -206,70 +242,56 @@ def mo_free(n: int) -> FiniteEffectAlgebra:
     generator-plus-partner giving 1.  (The other sums stay undefined; in
     particular 1 is summable with 0 only.)
     """
-    if not 0 <= n <= MAX_MO_GENERATORS:
-        raise ValueError(f"n must be between 0 and {MAX_MO_GENERATORS}")
-    zero, one = 0, 1
-    left = [2 + i for i in range(n)]
-    right = [2 + n + i for i in range(n)]
-    elements = tuple([zero, one] + left + right)
-    names = {zero: "0", one: "1"}
+    largest = (MAX_ELEMENTS - 2) // 2
+    if not 0 <= n <= largest:
+        raise ValueError(f"n must be between 0 and {largest}")
+    ids = np.arange(2 * n + 2)
+    left, right = ids[2:n + 2], ids[n + 2:]
+    table = np.full((len(ids), len(ids)), -1, dtype=np.int32)
+    table[0], table[:, 0] = ids, ids
+    table[left, right] = table[right, left] = 1
+    perp = np.concatenate([[1, 0], right, left])
+    names = {0: "0", 1: "1"}
     for i in range(n):
-        names[left[i]] = f"a{i}"
-        names[right[i]] = f"a{i}'"
-    perp = {zero: one, one: zero}
-    for i in range(n):
-        perp[left[i]] = right[i]
-        perp[right[i]] = left[i]
-    sums: dict[tuple[int, int], int] = {}
-    _with_zero_rows(sums, elements, zero)
-    for i in range(n):
-        sums[(left[i], right[i])] = one
-        sums[(right[i], left[i])] = one
-    return FiniteEffectAlgebra(elements, zero, one, sums, perp, names)
+        names[2 + i] = f"a{i}"
+        names[2 + n + i] = f"a{i}'"
+    return FiniteEffectAlgebra(tuple(ids.tolist()), 0, 1, SumTable(table), perp.tolist(), names)
 
 
 def boolean_powerset_ea(n: int) -> FiniteEffectAlgebra:
     """The Boolean algebra of subsets of an n-set, summing disjoint pairs.
 
-    Element ids are bitmasks over n ground points.  The table holds 3^n
-    entries, so n is capped at ``MAX_POWERSET_POINTS``.
+    Element ids are bitmasks over n ground points; P(n) has 2^n elements,
+    so n is capped where 2^n reaches ``MAX_ELEMENTS``.
     """
-    if not 0 <= n <= MAX_POWERSET_POINTS:
-        raise ValueError(f"n must be between 0 and {MAX_POWERSET_POINTS}")
+    largest = MAX_ELEMENTS.bit_length() - 1
+    if not 0 <= n <= largest:
+        raise ValueError(f"n must be between 0 and {largest}")
     full = (1 << n) - 1
-    elements = tuple(range(1 << n))
+    ids = np.arange(1 << n, dtype=np.int32)
+    x, y = ids[:, None], ids[None, :]
+    table = np.where(x & y == 0, x | y, -1)
     names = {}
-    for bits in elements:
+    for bits in range(1 << n):
         labels = [str(i) for i in range(n) if bits >> i & 1]
         names[bits] = "{" + ",".join(labels) + "}"
-    perp = {bits: full ^ bits for bits in elements}
-    sums: dict[tuple[int, int], int] = {}
-    for x in elements:
-        # enumerate subsets of the complement of x rather than all pairs
-        rest = full ^ x
-        y = rest
-        while True:
-            sums[(x, y)] = x | y
-            if y == 0:
-                break
-            y = (y - 1) & rest
-    return FiniteEffectAlgebra(elements, 0, full, sums, perp, names)
+    perp = [full ^ bits for bits in range(1 << n)]
+    return FiniteEffectAlgebra(tuple(range(1 << n)), 0, full, SumTable(table), perp, names)
 
 
 def product(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
-    """Cartesian product with componentwise tables."""
-    pairs = list(itertools.product(e1.elements, e2.elements))
-    ids = {pair: i for i, pair in enumerate(pairs)}
-    elements = tuple(range(len(pairs)))
-    names = {ids[(a, b)]: f"({e1.name_of(a)},{e2.name_of(b)})" for (a, b) in pairs}
-    perp = {ids[(a, b)]: ids[(e1.perp[a], e2.perp[b])] for (a, b) in pairs}
-    sums: dict[tuple[int, int], int] = {}
-    for (a, c), u in e1.sums.items():
-        for (b, d), v in e2.sums.items():
-            sums[(ids[(a, b)], ids[(c, d)])] = ids[(u, v)]
-    return FiniteEffectAlgebra(
-        elements, ids[(e1.zero, e2.zero)], ids[(e1.one, e2.one)], sums, perp, names
-    )
+    """Cartesian product with componentwise tables; (a, b) has id a * |e2| + b."""
+    n1, n2 = e1.size, e2.size
+    _refuse_oversized(n1 * n2)
+    t1, t2 = e1.sums.array, e2.sums.array
+    # axes (a, b, c, d) of (a, b) + (c, d), defined when both components are
+    table = np.where((t1 >= 0)[:, None, :, None] & (t2 >= 0)[None, :, None, :],
+                     t1[:, None, :, None] * n2 + t2[None, :, None, :], -1)
+    perp = np.array(e1.perp)[:, None] * n2 + np.array(e2.perp)[None, :]
+    names = {a * n2 + b: f"({e1.name_of(a)},{e2.name_of(b)})"
+             for a in range(n1) for b in range(n2)}
+    return FiniteEffectAlgebra(tuple(range(n1 * n2)), e1.zero * n2 + e2.zero, e1.one * n2 + e2.one,
+                               SumTable(table.reshape(n1 * n2, -1)), perp.ravel().tolist(), names)
 
 
 def coproduct(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -282,34 +304,24 @@ def coproduct(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectA
     """
     if e1.zero == e1.one or e2.zero == e2.one:
         raise ValueError("coproduct factors must have distinct 0 and 1")
-    zero, one = 0, 1
-    emb1 = {e1.zero: zero, e1.one: one}
-    emb2 = {e2.zero: zero, e2.one: one}
-    next_id = 2
-    names = {zero: "0", one: "1"}
-    for x in e1.elements:
-        if x not in emb1:
-            emb1[x] = next_id
-            names[next_id] = f"l.{e1.name_of(x)}"
-            next_id += 1
-    for x in e2.elements:
-        if x not in emb2:
-            emb2[x] = next_id
-            names[next_id] = f"r.{e2.name_of(x)}"
-            next_id += 1
-    elements = tuple(range(next_id))
-    perp = {zero: one, one: zero}
-    for x in e1.elements:
-        perp[emb1[x]] = emb1[e1.perp[x]]
-    for x in e2.elements:
-        perp[emb2[x]] = emb2[e2.perp[x]]
-    sums: dict[tuple[int, int], int] = {}
-    for (x, y), v in e1.sums.items():
-        sums[(emb1[x], emb1[y])] = emb1[v]
-    for (x, y), v in e2.sums.items():
-        sums[(emb2[x], emb2[y])] = emb2[v]
-    _with_zero_rows(sums, elements, zero)
-    return FiniteEffectAlgebra(elements, zero, one, sums, perp, names)
+    n = e1.size + e2.size - 2
+    _refuse_oversized(n)
+    table = np.full((n, n), -1, dtype=np.int32)
+    perp = np.empty(n, dtype=int)
+    names = {0: "0", 1: "1"}
+    for ea, side in ((e1, "l"), (e2, "r")):
+        # 0 and 1 go to the shared 0 and 1, the rest to fresh ids in element order
+        rest = [x for x in ea.elements if x not in (ea.zero, ea.one)]
+        fresh = range(len(names), len(names) + len(rest))
+        emb = np.empty(ea.size, dtype=int)
+        emb[ea.zero], emb[ea.one] = 0, 1
+        emb[rest] = fresh
+        names.update({i: f"{side}.{ea.name_of(x)}" for i, x in zip(fresh, rest)})
+        rows, cols = np.nonzero(ea.sums.array >= 0)
+        table[emb[rows], emb[cols]] = emb[ea.sums.array[rows, cols]]
+        perp[emb] = emb[np.array(ea.perp)]
+    table[0], table[:, 0] = np.arange(n), np.arange(n)
+    return FiniteEffectAlgebra(tuple(range(n)), 0, 1, SumTable(table), perp.tolist(), names)
 
 
 def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
@@ -321,50 +333,32 @@ def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
     if top not in ea.elements:
         raise ValueError(f"{top} not in universe")
     # y is below top iff its row holds top; the first such entry gives top - y
-    comps = {}
-    for y, row in _rows(ea).items():
-        for z, v in row.items():
-            if v == top:
-                comps[y] = z
-                break
-    members = list(comps)
-    ids = {y: i for i, y in enumerate(members)}
-    if ea.zero not in ids or top not in ids:
+    hits = ea.sums.array == top
+    members = np.flatnonzero(hits.any(axis=1))
+    index = np.full(ea.size, -1, dtype=np.int32)
+    index[members] = np.arange(len(members))
+    if index[ea.zero] < 0 or index[top] < 0:
         raise MalformedAlgebraError(f"0 and {top} are not both below {top}")
-    elements = tuple(range(len(members)))
-    names = {ids[y]: ea.name_of(y) for y in members}
-    perp = {}
-    for y in members:
-        comp = comps[y]
-        if comp not in ids:
-            raise MalformedAlgebraError("parent algebra lacks relative complements")
-        perp[ids[y]] = ids[comp]
-    sums: dict[tuple[int, int], int] = {}
-    for (x, y), v in ea.sums.items():
-        if x in ids and y in ids and v in ids:
-            sums[(ids[x], ids[y])] = ids[v]
-    return FiniteEffectAlgebra(elements, ids[ea.zero], ids[top], sums, perp, names)
+    perp = index[hits[members].argmax(axis=1)]
+    if (perp < 0).any():
+        raise MalformedAlgebraError("parent algebra lacks relative complements")
+    below = ea.sums.array[np.ix_(members, members)]
+    table = np.where(below >= 0, index[below], -1)
+    names = {i: ea.name_of(int(y)) for i, y in enumerate(members)}
+    return FiniteEffectAlgebra(tuple(range(len(members))), int(index[ea.zero]), int(index[top]),
+                               SumTable(table), perp.tolist(), names)
 
 
 def opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     """Swap the roles of (0, +) and (1, the dual operation).
 
-    x owedge y = (x' + y')' is read off the sum entries through the
-    preimages of perp, and inserted in element order of x, then y: the
-    checker's witnesses follow that order.
+    x owedge y = (x' + y')' is read off the sum table through perp.
     """
-    preimages: dict[int, list[int]] = {}
-    for x in ea.elements:
-        preimages.setdefault(ea.perp[x], []).append(x)
-    position = {x: i for i, x in enumerate(ea.elements)}
-    entries = sorted(
-        (position[x], position[y], x, y, ea.perp[s])
-        for (a, b), s in ea.sums.items()
-        for x in preimages.get(a, ())
-        for y in preimages.get(b, ())
-    )
-    sums = {(x, y): v for _, _, x, y, v in entries}
-    return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, sums, dict(ea.perp), dict(ea.names))
+    perp = np.array(ea.perp, dtype=np.int32)
+    dual = ea.sums.array[np.ix_(perp, perp)]
+    table = np.where(dual >= 0, perp[dual], -1)
+    return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, SumTable(table), ea.perp,
+                               dict(ea.names))
 
 
 def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlgebra,
@@ -387,12 +381,13 @@ def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlg
     step[source.one] = -1
     pinned = []
     checks: list[list[tuple[int, int, int]]] = [[] for _ in rest]
-    for (x, y), v in source.sums.items():
+    xs, ys = np.nonzero(source.sums.array >= 0)
+    for x, y, v in zip(xs.tolist(), ys.tolist(), source.sums.array[xs, ys].tolist()):
         last = max(step[x], step[y], step[v])
         (checks[last] if last >= 0 else pinned).append((x, y, v))
-    tsums, images = target.sums, target.elements
-    image = {source.one: target.one}
-    if any(tsums.get((image[x], image[y])) != image[v] for x, y, v in pinned):
+    tsums, images = target.sums.array.tolist(), target.elements
+    image = [target.one] * source.size
+    if any(tsums[image[x]][image[y]] != image[v] for x, y, v in pinned):
         return []
 
     found = []
@@ -417,9 +412,8 @@ def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlg
             raise HomSearchCapError(f"homomorphism search visited more than {cap} partial maps")
         image[rest[depth]] = images[i]
         for x, y, v in checks[depth]:
-            if tsums.get((image[x], image[y])) != image[v]:
+            if tsums[image[x]][image[y]] != image[v]:
                 break
         else:
             depth += 1
     return found
-

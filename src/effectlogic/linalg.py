@@ -150,7 +150,9 @@ def _kernel_gauge(block: np.ndarray) -> np.ndarray:
     Gram-Schmidt over the columns ``P e_i`` of the projector ``P``, the
     largest residual first; then each column is scaled so that its first
     entry of largest modulus is real and positive.  Both choices take the
-    lowest index among the near-ties of ``_first_near_max``.
+    lowest index among the near-ties of ``_first_near_max``.  Real and
+    imaginary parts below n * machine epsilon become exact zeros, so the
+    printed columns depend on the subspace alone, not on the solve.
     """
     k = block.shape[1]
     if k > 1:
@@ -163,7 +165,10 @@ def _kernel_gauge(block: np.ndarray) -> np.ndarray:
             residual = residual - np.outer(q, q.conj() @ residual)
             block[:, j] = q
     pivots = block[_first_near_max(np.abs(block)), np.arange(k)]
-    return block * (pivots.conj() / np.abs(pivots))
+    block = block * (pivots.conj() / np.abs(pivots))
+    for part in (block.real, block.imag):
+        part[np.abs(part) < len(block) * np.finfo(float).eps] = 0
+    return block
 
 
 def _first_near_max(values: np.ndarray) -> np.ndarray:

@@ -3,21 +3,22 @@
 Expected values here come from hand-checkable sources: the six-element
 free-algebra table was written out by hand, hom counts are matched
 against the subset-evaluation argument, and size formulas against the
-amalgamation rule (|E| - 2) + (|D| - 2) + 2.  The indexed checker, the
-downset construction and the backtracking search are also compared with
-plain loops over every pair and every total map, kept here as references.
+amalgamation rule (|E| - 2) + (|D| - 2) + 2.  The array checker, the
+downset and opposite constructions and the backtracking search are also
+compared with plain loops over every pair and every total map, kept here
+as references.
 """
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectlogic.effect_algebra import (
-    MAX_MO_GENERATORS,
-    MAX_POWERSET_POINTS,
+    MAX_ELEMENTS,
     AxiomReport,
     FiniteEffectAlgebra,
     HomSearchCapError,
@@ -60,22 +61,63 @@ def test_one_plus_one_defined_fails_zero_law():
 
 
 def test_malformed_table_is_not_an_axiom_failure():
-    broken = FiniteEffectAlgebra(
-        elements=(0, 1),
-        zero=0,
-        one=1,
-        sums={(0, 0): 0, (0, 1): 7},
-        perp={0: 1, 1: 0},
-        names={},
-    )
-    with pytest.raises(MalformedAlgebraError):
-        check_axioms(broken)
+    with pytest.raises(MalformedAlgebraError, match="unknown element"):
+        FiniteEffectAlgebra(
+            elements=(0, 1),
+            zero=0,
+            one=1,
+            sums={(0, 0): 0, (0, 1): 7},
+            perp={0: 1, 1: 0},
+            names={},
+        )
 
 
 def test_missing_perp_entry_is_malformed():
-    broken = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 0): 0}, {0: 1}, {})
+    with pytest.raises(MalformedAlgebraError, match="perp is not defined"):
+        FiniteEffectAlgebra((0, 1), 0, 1, {(0, 0): 0}, {0: 1}, {})
+
+
+MO1 = mo_free(1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"sums": {**MO1.sums, (7, 0): 7}},
+    {"sums": {**MO1.sums, (0, 7): 0}},
+    {"sums": {**MO1.sums, (-1, 0): 0}},
+    {"sums": {**MO1.sums, (2, 2): -1}},
+    {"perp": {0: 1}},
+    {"perp": (1, 0, 3, 4)},
+    {"zero": 4},
+    {"one": -1},
+    {"elements": (0, 1, 2, 4)},
+    {"elements": ()},
+], ids=["sum-key", "sum-column", "negative-key", "negative-value", "partial-perp",
+        "perp-value", "zero", "one", "element-ids", "empty"])
+def test_every_malformed_table_is_refused_when_built(fields):
+    """No operation sees an unknown id: the table is refused before any of them runs."""
     with pytest.raises(MalformedAlgebraError):
-        check_axioms(broken)
+        dataclasses.replace(MO1, **fields)
+
+
+def test_witnesses_are_row_major_whatever_the_insertion_order():
+    # (3, 1) is inserted before (2, 1); both lack their mirror entry
+    table = FiniteEffectAlgebra(MO1.elements, 0, 1, {**MO1.sums, (3, 1): 1, (2, 1): 1},
+                                MO1.perp, {})
+    assert list(table.sums) == sorted(table.sums)
+    assert check_axioms(table) == AxiomReport(False, "commutativity", (2, 1))
+
+
+def test_axiom_check_allocates_no_more_than_the_dict_tables():
+    """Build and check of P(8): the dict-table form peaked at 1.07 MB."""
+    check_axioms(boolean_powerset_ea(8))
+    tracemalloc.start()
+    try:
+        assert check_axioms(boolean_powerset_ea(8)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # margin of 10% over the dict-table peak
+    assert peak <= 1.07e6 * 1.1
 
 
 class TestFreeAlgebras:
@@ -84,10 +126,11 @@ class TestFreeAlgebras:
             assert mo_free(n).size == 2 * n + 2
 
     def test_size_guard(self):
-        for n in (MAX_MO_GENERATORS + 1, 10**12, -1):
-            with pytest.raises(ValueError):
+        largest = (MAX_ELEMENTS - 2) // 2
+        for n in (largest + 1, 10**12, -1):
+            with pytest.raises(ValueError, match=f"between 0 and {largest}"):
                 mo_free(n)
-        assert mo_free(MAX_MO_GENERATORS).size == 2 * MAX_MO_GENERATORS + 2
+        assert mo_free(largest).size == MAX_ELEMENTS
 
     def test_mo0_is_two_element(self):
         algebra = mo_free(0)
@@ -119,7 +162,7 @@ class TestFreeAlgebras:
         hand_sums[(a1, b1)] = one
         hand_sums[(b1, a1)] = one
         assert dict(built.sums) == hand_sums
-        assert built.perp == {zero: one, one: zero, a0: b0, b0: a0, a1: b1, b1: a1}
+        assert built.perp == (one, zero, b0, b1, a0, a1)
         assert check_axioms(built).passed
 
 
@@ -152,9 +195,11 @@ class TestPowersetAlgebras:
 
     def test_size_guard(self):
         # the guard runs before allocation, so absurd sizes cost nothing
-        for n in (MAX_POWERSET_POINTS + 1, 17, 10**9, -1):
-            with pytest.raises(ValueError):
+        largest = MAX_ELEMENTS.bit_length() - 1
+        for n in (largest + 1, 17, 10**9, -1):
+            with pytest.raises(ValueError, match=f"between 0 and {largest}"):
                 boolean_powerset_ea(n)
+        assert boolean_powerset_ea(largest).size == MAX_ELEMENTS
 
 
 class TestDerivedOperations:
@@ -281,12 +326,6 @@ class TestConstructions:
         algebra = downset(boolean_powerset_ea(3), 0b011)
         assert algebra.size == 4
 
-    def test_downset_of_malformed_table_raises(self):
-        algebra = two_element()
-        broken = dataclasses.replace(algebra, sums={**algebra.sums, (7, 0): 7})
-        with pytest.raises(MalformedAlgebraError):
-            downset(broken, algebra.one)
-
     def test_downset_below_a_top_outside_its_own_downset_raises(self):
         # (0, 0) is missing, so neither 0 nor top = 0 lies below 0
         broken = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 1): 1, (1, 0): 1, (1, 1): 1},
@@ -300,6 +339,20 @@ class TestConstructions:
 
     def test_product_axioms(self):
         assert check_axioms(product(boolean_powerset_ea(2), mo_free(1))).passed
+
+    @pytest.mark.parametrize("build,small", [(product, mo_free(0)), (coproduct, mo_free(1))],
+                             ids=["product", "coproduct"])
+    def test_oversized_result_is_refused_before_allocating(self, build, small):
+        big = boolean_powerset_ea(10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {MAX_ELEMENTS} elements"):
+                build(big, small)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 1026-element table alone would take 4 MB
+        assert peak < 100_000
 
 
 class TestHomomorphisms:
@@ -390,7 +443,7 @@ def test_random_constructions_pass_axioms(n, m):
     assert check_axioms(algebra).passed
 
 
-# --- references: the plain loops the indexed code must agree with -----------
+# --- references: the plain loops the array code must agree with -------------
 
 
 def derived_leq(ea: FiniteEffectAlgebra, x: int, y: int) -> bool:
@@ -523,7 +576,6 @@ def test_checker_and_downset_match_references(algebra, data):
     else:
         built = downset(algebra, top)
         assert built == expected
-        assert list(built.sums) == list(expected.sums)
 
 
 def reference_opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -534,16 +586,13 @@ def reference_opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
             v = owedge(ea, x, y)
             if v is not None:
                 sums[(x, y)] = v
-    return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, sums, dict(ea.perp), dict(ea.names))
+    return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, sums, ea.perp, dict(ea.names))
 
 
 @settings(max_examples=120, deadline=None)
 @given(algebra=mutated_tables())
 def test_opposite_matches_pairwise_reference(algebra):
-    built, expected = opposite(algebra), reference_opposite(algebra)
-    assert built == expected
-    # insertion order too: the checker's witnesses follow it
-    assert list(built.sums) == list(expected.sums)
+    assert opposite(algebra) == reference_opposite(algebra)
 
 
 ONE_PLUS_ONE = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},

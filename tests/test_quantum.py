@@ -358,7 +358,8 @@ class TestSolverCounts:
         # eigenvalues 1, 1 and 0.4: the kernel of I - A is the plane
         # orthogonal to (1, 1, 1), and the solver may return any basis of it.
         # The report is the one printed when comprehension solved I - A
-        # itself, the gauge being a function of the plane alone.
+        # itself, the gauge being a function of the plane alone, and its
+        # rounding-level parts exact zeros.
         sc = scenario.parse_scenario(
             "instance quantum\nlet M = matrix 3 3\n"
             "0.8 -0.2 -0.2\n-0.2 0.8 -0.2\n-0.2 -0.2 0.8\n"
@@ -367,7 +368,7 @@ class TestSolverCounts:
         assert before == {"eigh": 1, "eigvalsh": 0}
         assert scenario.run(sc) == (
             "0: comprehension = 3 2\n"
-            "0.816496581+0i -7.85046229e-17+0i\n"
+            "0.816496581+0i 0+0i\n"
             "-0.40824829+0i 0.707106781+0i\n"
             "-0.40824829+0i -0.707106781+0i\n", True)
         assert solver_calls == before

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectlogic import classical, cli, linalg, quantum, scenario, stochastic
-from effectlogic.effect_algebra import FiniteEffectAlgebra
+from effectlogic.effect_algebra import MAX_ELEMENTS, FiniteEffectAlgebra
 from effectlogic.quantum import PureState, QPredicate
 from effectlogic.scenario import NameRef, ScenarioError, format_value, parse_scenario, run
 
@@ -214,8 +214,8 @@ class TestRunning:
         out, ok = run(parse_scenario(text))
         assert not ok
         assert out.splitlines() == [
-            "0: axioms = error: line 2: n must be between 0 and 4096",
-            "1: axioms = error: line 3: n must be between 0 and 10",
+            f"0: axioms = error: line 2: n must be between 0 and {(MAX_ELEMENTS - 2) // 2}",
+            f"1: axioms = error: line 3: n must be between 0 and {MAX_ELEMENTS.bit_length() - 1}",
             "2: axioms = pass",
         ]
         with pytest.raises(ScenarioError, match="line 2"):
