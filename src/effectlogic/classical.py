@@ -216,17 +216,17 @@ def predicate_algebra(carrier: FinSet) -> FiniteEffectAlgebra:
     def from_bits(bits: int) -> BoolPredicate:
         return BoolPredicate(carrier, frozenset(i for i in range(n) if bits >> i & 1))
 
-    elements = tuple(range(1 << n))
+    elements = range(1 << n)
     names = {bits: "{" + ",".join(carrier.labels[i] for i in range(n) if bits >> i & 1) + "}"
              for bits in elements}
-    perp = {bits: to_bits(from_bits(bits).complement()) for bits in elements}
+    perp = [to_bits(from_bits(bits).complement()) for bits in elements]
     sums = {}
     for x in elements:
         for y in elements:
             s = orthosum(from_bits(x), from_bits(y))
             if s is not None:
                 sums[(x, y)] = to_bits(s)
-    return FiniteEffectAlgebra(elements, 0, (1 << n) - 1, sums, perp, names)
+    return FiniteEffectAlgebra(1 << n, 0, (1 << n) - 1, sums, perp, names)
 
 
 def stone_states(n: int) -> list[int]:

@@ -12,14 +12,15 @@ associativity one gather over the defined triples.  Homomorphisms are
 found by a depth-first search that checks each sum entry as soon as its
 three elements have images and cuts the branch at the first violation.
 
-Display names live in a side table.  Undefined partial results are
-returned as ``None`` rather than raised, so that quantified law checks
-can range over definedness.
+Display names are optional and no construction builds any; an element
+without one is shown by its id.  Undefined partial results are returned
+as ``None`` rather than raised, so that quantified law checks can range
+over definedness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -77,34 +78,42 @@ def _refuse_oversized(n: int) -> None:
         raise ValueError(f"an algebra holds at most {MAX_ELEMENTS} elements, not {n}")
 
 
+def _ids(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; an id too large for one is an unknown element."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise MalformedAlgebraError(f"{what} references an unknown element") from None
+
+
 @dataclass(frozen=True)
 class FiniteEffectAlgebra:
     """A finite effect-algebra candidate given by explicit tables.
 
-    ``elements`` are 0..n-1.  ``sums`` maps ordered pairs (x, y) to x + y
-    and omits undefined pairs; it is read into a ``SumTable`` when the
-    algebra is built.  ``perp`` is the total orthocomplement table, kept
-    as a tuple indexed by element.  Building refuses an unknown id with
-    ``MalformedAlgebraError``; run ``check_axioms`` for the laws.
+    The elements are 0..size-1.  ``sums`` maps ordered pairs (x, y) to
+    x + y and omits undefined pairs; it is read into a ``SumTable`` when
+    the algebra is built.  ``perp``, the total orthocomplement table, is
+    kept as a tuple indexed by element.  Building refuses a size outside
+    1..``MAX_ELEMENTS`` or an unknown id with ``MalformedAlgebraError``;
+    run ``check_axioms`` for the laws.
     """
 
-    elements: tuple[int, ...]
+    size: int
     zero: int
     one: int
     sums: Mapping[tuple[int, int], int]
     perp: Mapping[int, int] | Sequence[int]
-    names: Mapping[int, str]
+    names: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = len(self.elements)
-        _refuse_oversized(n)
-        if n == 0 or tuple(self.elements) != tuple(range(n)):
-            raise MalformedAlgebraError("the elements must be 0, 1, ..., n - 1 for some n > 0")
+        n = self.size
+        if not 1 <= n <= MAX_ELEMENTS:
+            raise MalformedAlgebraError(f"an algebra holds 1 to {MAX_ELEMENTS} elements, not {n}")
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise MalformedAlgebraError(f"0 = {self.zero} or 1 = {self.one} is not an element")
         if not (isinstance(self.sums, SumTable) and self.sums.array.shape == (n, n)):
-            entries = np.array([(x, y, v) for (x, y), v in self.sums.items()],
-                               dtype=np.int64).reshape(-1, 3)
+            entries = _ids([(x, y, v) for (x, y), v in self.sums.items()],
+                           "a sum entry").reshape(-1, 3)
             unknown = entries[((entries < 0) | (entries >= n)).any(axis=1)].tolist()
             if unknown:
                 raise MalformedAlgebraError("sum entry {} + {} = {} references unknown element"
@@ -112,17 +121,22 @@ class FiniteEffectAlgebra:
             table = np.full((n, n), -1, dtype=np.int32)
             table[entries[:, 0], entries[:, 1]] = entries[:, 2]
             object.__setattr__(self, "sums", SumTable(table))
-        try:
-            perp = tuple(int(self.perp[x]) for x in range(n))
-        except (KeyError, IndexError):
-            raise MalformedAlgebraError("perp is not defined on every element") from None
-        if not all(0 <= p < n for p in perp):
+        perp = self.perp
+        if isinstance(perp, Mapping):
+            try:
+                perp = [perp[x] for x in range(n)]
+            except KeyError:
+                raise MalformedAlgebraError("perp is not defined on every element") from None
+        perp = _ids(perp, "perp")
+        if perp.shape != (n,):
+            raise MalformedAlgebraError("perp is not defined on every element")
+        if ((perp < 0) | (perp >= n)).any():
             raise MalformedAlgebraError("perp references an unknown element")
-        object.__setattr__(self, "perp", perp)
+        object.__setattr__(self, "perp", tuple(perp.tolist()))
 
     @property
-    def size(self) -> int:
-        return len(self.elements)
+    def elements(self) -> range:
+        return range(self.size)
 
     def name_of(self, x: int) -> str:
         return self.names.get(x, str(x))
@@ -251,11 +265,7 @@ def mo_free(n: int) -> FiniteEffectAlgebra:
     table[0], table[:, 0] = ids, ids
     table[left, right] = table[right, left] = 1
     perp = np.concatenate([[1, 0], right, left])
-    names = {0: "0", 1: "1"}
-    for i in range(n):
-        names[2 + i] = f"a{i}"
-        names[2 + n + i] = f"a{i}'"
-    return FiniteEffectAlgebra(tuple(ids.tolist()), 0, 1, SumTable(table), perp.tolist(), names)
+    return FiniteEffectAlgebra(len(ids), 0, 1, SumTable(table), perp)
 
 
 def boolean_powerset_ea(n: int) -> FiniteEffectAlgebra:
@@ -271,12 +281,7 @@ def boolean_powerset_ea(n: int) -> FiniteEffectAlgebra:
     ids = np.arange(1 << n, dtype=np.int32)
     x, y = ids[:, None], ids[None, :]
     table = np.where(x & y == 0, x | y, -1)
-    names = {}
-    for bits in range(1 << n):
-        labels = [str(i) for i in range(n) if bits >> i & 1]
-        names[bits] = "{" + ",".join(labels) + "}"
-    perp = [full ^ bits for bits in range(1 << n)]
-    return FiniteEffectAlgebra(tuple(range(1 << n)), 0, full, SumTable(table), perp, names)
+    return FiniteEffectAlgebra(1 << n, 0, full, SumTable(table), full ^ ids)
 
 
 def product(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -288,10 +293,8 @@ def product(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectAlg
     table = np.where((t1 >= 0)[:, None, :, None] & (t2 >= 0)[None, :, None, :],
                      t1[:, None, :, None] * n2 + t2[None, :, None, :], -1)
     perp = np.array(e1.perp)[:, None] * n2 + np.array(e2.perp)[None, :]
-    names = {a * n2 + b: f"({e1.name_of(a)},{e2.name_of(b)})"
-             for a in range(n1) for b in range(n2)}
-    return FiniteEffectAlgebra(tuple(range(n1 * n2)), e1.zero * n2 + e2.zero, e1.one * n2 + e2.one,
-                               SumTable(table.reshape(n1 * n2, -1)), perp.ravel().tolist(), names)
+    return FiniteEffectAlgebra(n1 * n2, e1.zero * n2 + e2.zero, e1.one * n2 + e2.one,
+                               SumTable(table.reshape(n1 * n2, -1)), perp.ravel())
 
 
 def coproduct(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -308,20 +311,20 @@ def coproduct(e1: FiniteEffectAlgebra, e2: FiniteEffectAlgebra) -> FiniteEffectA
     _refuse_oversized(n)
     table = np.full((n, n), -1, dtype=np.int32)
     perp = np.empty(n, dtype=int)
-    names = {0: "0", 1: "1"}
-    for ea, side in ((e1, "l"), (e2, "r")):
+    fresh = 2
+    for ea in (e1, e2):
         # 0 and 1 go to the shared 0 and 1, the rest to fresh ids in element order
-        rest = [x for x in ea.elements if x not in (ea.zero, ea.one)]
-        fresh = range(len(names), len(names) + len(rest))
+        rest = np.ones(ea.size, dtype=bool)
+        rest[[ea.zero, ea.one]] = False
         emb = np.empty(ea.size, dtype=int)
         emb[ea.zero], emb[ea.one] = 0, 1
-        emb[rest] = fresh
-        names.update({i: f"{side}.{ea.name_of(x)}" for i, x in zip(fresh, rest)})
+        emb[rest] = np.arange(fresh, fresh + ea.size - 2)
+        fresh += ea.size - 2
         rows, cols = np.nonzero(ea.sums.array >= 0)
         table[emb[rows], emb[cols]] = emb[ea.sums.array[rows, cols]]
         perp[emb] = emb[np.array(ea.perp)]
     table[0], table[:, 0] = np.arange(n), np.arange(n)
-    return FiniteEffectAlgebra(tuple(range(n)), 0, 1, SumTable(table), perp.tolist(), names)
+    return FiniteEffectAlgebra(n, 0, 1, SumTable(table), perp)
 
 
 def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
@@ -330,7 +333,7 @@ def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
     Sums are those of the parent whose value stays below ``top``.  With
     top = 0 this degenerates to the one-element algebra.
     """
-    if top not in ea.elements:
+    if not 0 <= top < ea.size:
         raise ValueError(f"{top} not in universe")
     # y is below top iff its row holds top; the first such entry gives top - y
     hits = ea.sums.array == top
@@ -344,9 +347,8 @@ def downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
         raise MalformedAlgebraError("parent algebra lacks relative complements")
     below = ea.sums.array[np.ix_(members, members)]
     table = np.where(below >= 0, index[below], -1)
-    names = {i: ea.name_of(int(y)) for i, y in enumerate(members)}
-    return FiniteEffectAlgebra(tuple(range(len(members))), int(index[ea.zero]), int(index[top]),
-                               SumTable(table), perp.tolist(), names)
+    return FiniteEffectAlgebra(len(members), int(index[ea.zero]), int(index[top]),
+                               SumTable(table), perp)
 
 
 def opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -357,8 +359,7 @@ def opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
     perp = np.array(ea.perp, dtype=np.int32)
     dual = ea.sums.array[np.ix_(perp, perp)]
     table = np.where(dual >= 0, perp[dual], -1)
-    return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, SumTable(table), ea.perp,
-                               dict(ea.names))
+    return FiniteEffectAlgebra(ea.size, ea.one, ea.zero, SumTable(table), ea.perp)
 
 
 def enumerate_homomorphisms(source: FiniteEffectAlgebra, target: FiniteEffectAlgebra,

@@ -63,16 +63,12 @@ class QueryError(Exception):
 @dataclass(frozen=True)
 class NameRef:
     name: str
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
 class CallExpr:
     fn: str
     args: tuple
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ class _ExprParser:
             return self.parse_call(tok, depth)
         if tok[1] not in self.scope.scenario.declarations and tok[1] not in self.scope.builtins:
             raise ScenarioError(f"unknown name {tok[1]!r}", self.line, tok[2])
-        return NameRef(tok[1], self.line, tok[2])
+        return NameRef(tok[1])
 
     def parse_call(self, head, depth: int) -> CallExpr:
         fn, col = head[1], head[2]
@@ -221,13 +217,13 @@ class _ExprParser:
                 tok = self.take_operand()
                 if tok[0] == "num" or self.at("("):
                     raise ScenarioError(_must_be(fn, len(args), str), self.line, col)
-                args.append(NameRef(tok[1], self.line, tok[2]))
+                args.append(NameRef(tok[1]))
             sep = self.take()
             if sep[0] != "punct" or sep[1] not in ",)":
                 raise ScenarioError(f"expected ',' or ')', found {sep[1]!r}", self.line, sep[2])
         if arity is not None and len(args) != arity:
             raise ScenarioError(f"{fn} takes {arity} arguments, got {len(args)}", self.line, col)
-        return CallExpr(fn, tuple(args), self.line, col)
+        return CallExpr(fn, tuple(args))
 
     def finish(self):
         tok = self.peek()

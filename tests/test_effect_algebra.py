@@ -47,7 +47,7 @@ def test_two_element_algebra_passes():
 
 def test_one_plus_one_defined_fails_zero_law():
     bad = FiniteEffectAlgebra(
-        elements=(0, 1),
+        size=2,
         zero=0,
         one=1,
         sums={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
@@ -63,18 +63,17 @@ def test_one_plus_one_defined_fails_zero_law():
 def test_malformed_table_is_not_an_axiom_failure():
     with pytest.raises(MalformedAlgebraError, match="unknown element"):
         FiniteEffectAlgebra(
-            elements=(0, 1),
+            size=2,
             zero=0,
             one=1,
             sums={(0, 0): 0, (0, 1): 7},
             perp={0: 1, 1: 0},
-            names={},
         )
 
 
 def test_missing_perp_entry_is_malformed():
     with pytest.raises(MalformedAlgebraError, match="perp is not defined"):
-        FiniteEffectAlgebra((0, 1), 0, 1, {(0, 0): 0}, {0: 1}, {})
+        FiniteEffectAlgebra(2, 0, 1, {(0, 0): 0}, {0: 1})
 
 
 MO1 = mo_free(1)
@@ -85,14 +84,16 @@ MO1 = mo_free(1)
     {"sums": {**MO1.sums, (0, 7): 0}},
     {"sums": {**MO1.sums, (-1, 0): 0}},
     {"sums": {**MO1.sums, (2, 2): -1}},
+    {"sums": {**MO1.sums, (2**70, 0): 0}},
     {"perp": {0: 1}},
     {"perp": (1, 0, 3, 4)},
+    {"perp": (1, 0, 3, 2**70)},
     {"zero": 4},
     {"one": -1},
-    {"elements": (0, 1, 2, 4)},
-    {"elements": ()},
-], ids=["sum-key", "sum-column", "negative-key", "negative-value", "partial-perp",
-        "perp-value", "zero", "one", "element-ids", "empty"])
+    {"size": 0},
+    {"size": MAX_ELEMENTS + 1},
+], ids=["sum-key", "sum-column", "negative-key", "negative-value", "sum-overflow",
+        "partial-perp", "perp-value", "perp-overflow", "zero", "one", "empty", "oversized"])
 def test_every_malformed_table_is_refused_when_built(fields):
     """No operation sees an unknown id: the table is refused before any of them runs."""
     with pytest.raises(MalformedAlgebraError):
@@ -101,10 +102,17 @@ def test_every_malformed_table_is_refused_when_built(fields):
 
 def test_witnesses_are_row_major_whatever_the_insertion_order():
     # (3, 1) is inserted before (2, 1); both lack their mirror entry
-    table = FiniteEffectAlgebra(MO1.elements, 0, 1, {**MO1.sums, (3, 1): 1, (2, 1): 1},
-                                MO1.perp, {})
+    table = FiniteEffectAlgebra(MO1.size, 0, 1, {**MO1.sums, (3, 1): 1, (2, 1): 1}, MO1.perp)
     assert list(table.sums) == sorted(table.sums)
     assert check_axioms(table) == AxiomReport(False, "commutativity", (2, 1))
+
+
+def test_planted_defect_is_described_by_ids():
+    algebra = product(mo_free(1), mo_free(1))
+    sums = dict(algebra.sums)
+    del sums[(6, algebra.zero)]
+    report = check_axioms(dataclasses.replace(algebra, sums=sums))
+    assert report.describe(algebra) == "fail: commutativity at (0, 6)"
 
 
 def test_axiom_check_allocates_no_more_than_the_dict_tables():
@@ -309,9 +317,12 @@ class TestConstructions:
             coproduct(boolean_powerset_ea(0), mo_free(1))
 
     def test_coproduct_no_cross_sums(self):
-        algebra = coproduct(mo_free(1), mo_free(1))
-        left_mid = [x for x in algebra.elements if algebra.name_of(x).startswith("l.")]
-        right_mid = [x for x in algebra.elements if algebra.name_of(x).startswith("r.")]
+        left, right = mo_free(1), mo_free(2)
+        algebra = coproduct(left, right)
+        # after the shared 0 and 1, the left middle elements, then the right ones
+        left_mid = range(2, left.size)
+        right_mid = range(left.size, algebra.size)
+        assert left_mid and right_mid
         for x in left_mid:
             for y in right_mid:
                 assert algebra.sum_of(x, y) is None
@@ -328,8 +339,7 @@ class TestConstructions:
 
     def test_downset_below_a_top_outside_its_own_downset_raises(self):
         # (0, 0) is missing, so neither 0 nor top = 0 lies below 0
-        broken = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 1): 1, (1, 0): 1, (1, 1): 1},
-                                     {0: 1, 1: 0}, {})
+        broken = FiniteEffectAlgebra(2, 0, 1, {(0, 1): 1, (1, 0): 1, (1, 1): 1}, {0: 1, 1: 0})
         with pytest.raises(MalformedAlgebraError):
             downset(broken, 0)
 
@@ -512,11 +522,8 @@ def reference_downset(ea: FiniteEffectAlgebra, top: int) -> FiniteEffectAlgebra:
         raise MalformedAlgebraError("0 or top is not below top")
     sums = {(ids[x], ids[y]): ids[v] for (x, y), v in ea.sums.items()
             if x in ids and y in ids and v in ids}
-    return FiniteEffectAlgebra(
-        tuple(range(len(members))), ids[ea.zero], ids[top], sums,
-        {ids[y]: ids[comp] for y, comp in zip(members, comps)},
-        {ids[y]: ea.name_of(y) for y in members},
-    )
+    return FiniteEffectAlgebra(len(members), ids[ea.zero], ids[top], sums,
+                               {ids[y]: ids[comp] for y, comp in zip(members, comps)})
 
 
 def reference_homomorphisms(source, target) -> list[dict[int, int]]:
@@ -586,7 +593,7 @@ def reference_opposite(ea: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
             v = owedge(ea, x, y)
             if v is not None:
                 sums[(x, y)] = v
-    return FiniteEffectAlgebra(ea.elements, ea.one, ea.zero, sums, ea.perp, dict(ea.names))
+    return FiniteEffectAlgebra(ea.size, ea.one, ea.zero, sums, ea.perp)
 
 
 @settings(max_examples=120, deadline=None)
@@ -595,8 +602,8 @@ def test_opposite_matches_pairwise_reference(algebra):
     assert opposite(algebra) == reference_opposite(algebra)
 
 
-ONE_PLUS_ONE = FiniteEffectAlgebra((0, 1), 0, 1, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
-                                   {0: 1, 1: 0}, {})
+ONE_PLUS_ONE = FiniteEffectAlgebra(2, 0, 1, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+                                   {0: 1, 1: 0})
 HOM_ALGEBRAS = {
     "MO0": mo_free(0),
     "MO1": mo_free(1),
