@@ -5,11 +5,17 @@ A predicate on a finite carrier X is the subset of points it sends to the
 never stored.  The coproduct X + X itself is kept explicit through tagged
 elements and a doubled carrier, so the bookkeeping of the two injections
 is testable rather than implicit index arithmetic.
+
+A carrier indexes its labels when it is built, so a label lookup is one
+dict lookup.  The operations a scenario reaches pass over the points in
+C (set algebra, ``map``, ``itertools.compress``), not one point at a
+time in Python.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Literal
 
 from . import effect_algebra as ea_mod
@@ -18,13 +24,17 @@ from .effect_algebra import FiniteEffectAlgebra, enumerate_homomorphisms
 
 @dataclass(frozen=True)
 class FinSet:
-    """A finite carrier: an ordered tuple of distinct labels."""
+    """A finite carrier: an ordered tuple of distinct labels, indexed when built."""
 
     labels: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        # one pass builds the label -> index dict and shows the labels distinct
+        index = dict(zip(self.labels, range(len(self.labels))))
+        if len(index) != len(self.labels):
             raise ValueError("carrier labels must be distinct")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -32,8 +42,8 @@ class FinSet:
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise ValueError(f"no element {label!r} in carrier") from None
 
 
@@ -45,6 +55,14 @@ def range_finset(n: int) -> FinSet:
     return FinSet(tuple(f"x{i}" for i in range(n)))
 
 
+def _check_indices(indices, n: int, what: str) -> None:
+    """Every index an int in ``range(n)``: one pass over the types, then min and max."""
+    if not {*map(type, indices)} <= {int}:
+        raise ValueError(f"{what} index must be an integer")
+    if indices and not (min(indices) >= 0 and max(indices) < n):
+        raise ValueError(f"{what} index out of range")
+
+
 @dataclass(frozen=True)
 class BoolPredicate:
     """A subset of the carrier, stored as the set of member indices."""
@@ -53,8 +71,7 @@ class BoolPredicate:
     members: frozenset[int]
 
     def __post_init__(self):
-        if any(not 0 <= i < self.carrier.size for i in self.members):
-            raise ValueError("member index out of range")
+        _check_indices(self.members, self.carrier.size, "member")
 
     def complement(self) -> "BoolPredicate":
         return BoolPredicate(self.carrier, frozenset(range(self.carrier.size)) - self.members)
@@ -82,8 +99,7 @@ class FinMap:
     def __post_init__(self):
         if len(self.table) != self.source.size:
             raise ValueError("table length must match source size")
-        if any(not 0 <= j < self.target.size for j in self.table):
-            raise ValueError("image index out of range")
+        _check_indices(self.table, self.target.size, "image")
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -97,7 +113,7 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
     """g after f."""
     if f.target != g.source:
         raise ValueError("composable maps required")
-    return FinMap(f.source, g.target, tuple(g.table[j] for j in f.table))
+    return FinMap(f.source, g.target, tuple(map(g.table.__getitem__, f.table)))
 
 
 @dataclass(frozen=True)
@@ -110,9 +126,8 @@ class TaggedElement:
 
 def doubled_carrier(carrier: FinSet) -> FinSet:
     """The coproduct X + X, left copy first."""
-    return FinSet(
-        tuple(f"L.{l}" for l in carrier.labels) + tuple(f"R.{l}" for l in carrier.labels)
-    )
+    labels = carrier.labels
+    return FinSet(tuple(map("L.".__add__, labels)) + tuple(map("R.".__add__, labels)))
 
 
 def tagged_to_index(carrier: FinSet, t: TaggedElement) -> int:
@@ -137,9 +152,7 @@ def omega_predicate(carrier: FinSet) -> BoolPredicate:
 def coproduct_map(f: FinMap) -> FinMap:
     """f + f between doubled carriers, preserving the side tag."""
     n = f.target.size
-    table = tuple(f.table[i] for i in range(f.source.size)) + tuple(
-        n + f.table[i] for i in range(f.source.size)
-    )
+    table = f.table + tuple(map(n.__add__, f.table))
     return FinMap(doubled_carrier(f.source), doubled_carrier(f.target), table)
 
 
@@ -160,7 +173,8 @@ def substitute(f: FinMap, q: BoolPredicate) -> BoolPredicate:
     """Pull q back along f: the preimage subset."""
     if q.carrier != f.target:
         raise ValueError("predicate carrier must be the map's target")
-    return BoolPredicate(f.source, frozenset(i for i in range(f.source.size) if f.table[i] in q.members))
+    hits = map(q.members.__contains__, f.table)
+    return BoolPredicate(f.source, frozenset(compress(range(f.source.size), hits)))
 
 
 def test_andthen(p: BoolPredicate, q: BoolPredicate) -> BoolPredicate:
@@ -178,7 +192,7 @@ def test_then(p: BoolPredicate, q: BoolPredicate) -> BoolPredicate:
 def comprehension(p: BoolPredicate) -> tuple[FinSet, FinMap]:
     """The sub-carrier of points satisfying p, with its inclusion map."""
     included = sorted(p.members)
-    sub = FinSet(tuple(p.carrier.labels[i] for i in included))
+    sub = FinSet(tuple(map(p.carrier.labels.__getitem__, included)))
     return sub, FinMap(sub, p.carrier, tuple(included))
 
 

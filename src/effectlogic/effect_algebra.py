@@ -79,11 +79,14 @@ def _refuse_oversized(n: int) -> None:
 
 
 def _ids(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; an id too large for one is an unknown element."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise MalformedAlgebraError(f"{what} references an unknown element") from None
+    """``values`` as an int64 array.  An id too large for one is an unknown
+    element, and an id that is not an integer is refused, not truncated."""
+    ids = np.asarray(values)
+    if ids.dtype == object:  # a Python int beyond 64 bits
+        raise MalformedAlgebraError(f"{what} references an unknown element")
+    if ids.size and ids.dtype.kind not in "iu":
+        raise MalformedAlgebraError(f"{what} names an id that is not an integer")
+    return ids.astype(np.int64, copy=False)  # a uint64 id beyond int64 wraps negative: unknown
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,9 @@ class FiniteEffectAlgebra:
     x + y and omits undefined pairs; it is read into a ``SumTable`` when
     the algebra is built.  ``perp``, the total orthocomplement table, is
     kept as a tuple indexed by element.  Building refuses a size outside
-    1..``MAX_ELEMENTS`` or an unknown id with ``MalformedAlgebraError``;
-    run ``check_axioms`` for the laws.
+    1..``MAX_ELEMENTS``, an unknown id, or a sum or ``perp`` id that is not
+    an integer with ``MalformedAlgebraError``; run ``check_axioms`` for
+    the laws.
     """
 
     size: int

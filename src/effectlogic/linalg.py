@@ -66,7 +66,7 @@ def _checked_hermitian(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     skew = a - dagger(a)
-    if skew.size and not np.max(np.abs(skew)) <= config.EPS:  # NaN fails it
+    if skew.size and not abs(skew).max() <= config.EPS:  # NaN fails it
         raise ValueError(f"matrix is not Hermitian within {config.EPS}")
     return a - skew / 2.0
 
@@ -115,14 +115,17 @@ def complementary_sqrts(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     values, vecs = eig
     tol = config.EPS
     values = np.where(values < tol, 0.0, np.where(1.0 - values < tol, 1.0, values))
-    return _spectral_sqrt(vecs, values), _spectral_sqrt(vecs, 1.0 - values)
+    both = _spectral_sqrt(vecs, np.stack([values, 1.0 - values])[:, None, :])
+    return both[0], both[1]
 
 
 def _spectral_sqrt(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V sqrt(D) V*, Hermitian part; ``values`` may stack several spectra
+    (shape (k, 1, n)), giving k roots from one product."""
     # vectors straight from the solver: each root sits on its own
     # eigenvector, however close its neighbours are
-    root = vectors @ np.diag(np.sqrt(values)) @ dagger(vectors)
-    return hermitian_part(root)
+    root = (vectors * np.sqrt(values)) @ dagger(vectors)
+    return (root + np.swapaxes(root, -1, -2).conj()) / 2.0
 
 
 def kernel_band() -> float:

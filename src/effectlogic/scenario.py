@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -217,7 +218,7 @@ class _ExprParser:
                 tok = self.take_operand()
                 if tok[0] == "num" or self.at("("):
                     raise ScenarioError(_must_be(fn, len(args), str), self.line, col)
-                args.append(NameRef(tok[1]))
+                args.append(tok[1])  # a label is itself
             sep = self.take()
             if sep[0] != "punct" or sep[1] not in ",)":
                 raise ScenarioError(f"expected ',' or ')', found {sep[1]!r}", self.line, sep[2])
@@ -353,7 +354,7 @@ class _Evaluator:
             return self.builtins[expr.name]  # the parser has checked the name
         if isinstance(expr, CallExpr):
             return self.call(expr.fn, expr.args)
-        return expr  # a number
+        return expr  # a number or a label
 
     def call(self, fn: str, args: tuple):
         """Apply the row of ``fn`` to the values of ``args``, checking their types."""
@@ -361,18 +362,16 @@ class _Evaluator:
         tail = ()
         if types[-1] is ...:  # the type before it, once for each further argument
             fixed, kind = len(types) - 2, types[-2]
-            if kind is _REAL and {*map(type, args[fixed:])} <= {float}:
-                args, tail = args[:fixed], args[fixed:]  # literal numbers pass in one check
+            # labels (the parser has checked them) and literal numbers pass in one check
+            if kind is str or kind is _REAL and {*map(type, args[fixed:])} <= {float}:
+                args, tail = args[:fixed], args[fixed:]
             types = types[:fixed] + (kind,) * (len(args) - fixed)
         values = []
         for kind, arg in zip(types, args):
-            if kind is str:
-                values.append(arg.name)  # the parser has checked that a label stands here
-            else:
-                value = arg if type(arg) is float else self.evaluate(arg)  # a literal is itself
-                if not isinstance(value, kind):
-                    raise QueryError(_must_be(fn, len(values), kind))
-                values.append(value)
+            value = arg if type(arg) is float else self.evaluate(arg)  # a literal is itself
+            if not isinstance(value, kind):
+                raise QueryError(_must_be(fn, len(values), kind))
+            values.append(value)
         if len(values) < len(types):
             raise QueryError(f"{fn} is missing argument {len(values) + 1}")
         return apply(*values, *tail)
@@ -558,14 +557,14 @@ def format_value(value, prec: int) -> str:
     if isinstance(value, FinSet):
         return "{" + ",".join(value.labels) + "}"
     if isinstance(value, BoolPredicate):
-        return "{" + ",".join(value.carrier.labels[i] for i in sorted(value.members)) + "}"
+        return "{" + ",".join(map(value.carrier.labels.__getitem__, sorted(value.members))) + "}"
     if isinstance(value, FuzzyPredicate):
         template = ", ".join([f"%.{prec}f"] * len(value.values))
         return "[" + template % tuple((value.values + 0.0).tolist()) + "]"
     if isinstance(value, Distribution):
-        template = ", ".join([l.replace("%", "%%") + f": %.{prec}f"
-                              for l in value.carrier.labels])
-        return "{" + template % tuple((value.weights + 0.0).tolist()) + "}"
+        labels, weights = value.carrier.labels, (value.weights + 0.0).tolist()
+        template = ", ".join([f"%s: %.{prec}f"] * len(labels))
+        return "{" + template % tuple(chain.from_iterable(zip(labels, weights))) + "}"
     if isinstance(value, tuple) and value and value[0] == "tagged":
         _, carrier, tagged = value
         return f"{tagged.side}({carrier.labels[tagged.index]})"

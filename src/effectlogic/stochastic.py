@@ -13,6 +13,8 @@ most 0.5) which points are certain.  Every distribution, kernel and
 predicate is admitted by one check: its entries must lie in
 [-EPS, 1 + EPS], which NaN and infinities fail, and values drifting into
 [-EPS, 0) or (1, 1 + EPS] are clamped back into the unit interval.
+Carriers are ``classical.FinSet``s, which index their labels when built;
+no operation here loops over the points in Python.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ def _admit_unit(values, what: str, shape: tuple[int, ...], mismatch: str) -> np.
     (NaN fails the test), the expected shape, then clamped into [0, 1] and
     returned read-only."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size and not (np.min(v) >= -config.EPS and np.max(v) <= 1.0 + config.EPS):
+    if v.size and not (v.min() >= -config.EPS and v.max() <= 1.0 + config.EPS):
         i = np.argwhere(~((v >= -config.EPS) & (v <= 1.0 + config.EPS)))[0]
         raise ValueError(f"{what} has entries outside [0, 1]: entry {i.tolist()} is {v[tuple(i)]}")
     if v.shape != shape:
         raise ValueError(mismatch)
-    v = np.clip(v, 0.0, 1.0)
+    v = v.clip(0.0, 1.0)
     v.setflags(write=False)
     return v
 
@@ -59,7 +61,7 @@ class Distribution:
     def __post_init__(self):
         w = _admit_unit(self.weights, "distribution", (self.carrier.size,),
                         "weight vector length must match carrier size")
-        total = float(np.sum(w))
+        total = float(w.sum())
         if abs(total - 1.0) > config.EPS:
             raise ValueError(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "weights", w)
@@ -88,8 +90,8 @@ class StochasticMap:
     def __post_init__(self):
         m = _admit_unit(self.matrix, "stochastic matrix", (self.source.size, self.target.size),
                         "matrix shape must be source x target")
-        sums = np.sum(m, axis=1)
-        if m.shape[0] and np.max(np.abs(sums - 1.0)) > config.EPS:
+        sums = m.sum(axis=1)
+        if m.shape[0] and abs(sums - 1.0).max() > config.EPS:
             row = int(np.argmax(np.abs(sums - 1.0) > config.EPS))
             raise ValueError(f"rows must sum to 1, got {sums[row]} in row {row}")
         object.__setattr__(self, "matrix", m)
@@ -104,8 +106,7 @@ def identity_kernel(carrier: FinSet) -> StochasticMap:
 
 def deterministic(f_table: Sequence[int], source: FinSet, target: FinSet) -> StochasticMap:
     m = np.zeros((source.size, target.size))
-    for i, j in enumerate(f_table):
-        m[i, j] = 1.0
+    m[np.arange(len(f_table)), f_table] = 1.0
     return StochasticMap(source, target, m)
 
 
@@ -155,7 +156,7 @@ def orthosum(p: FuzzyPredicate, q: FuzzyPredicate):
     """Pointwise sum when it stays below 1 everywhere; None otherwise."""
     _same_carrier(p, q)
     total = p.values + q.values
-    if total.size and np.max(total) > 1.0 + config.EPS:
+    if total.size and total.max() > 1.0 + config.EPS:
         return None
     return FuzzyPredicate(p.carrier, total)
 
@@ -192,8 +193,8 @@ def comprehension(p: FuzzyPredicate) -> tuple[FinSet, StochasticMap]:
     the rule the quantum kernel basis applies to the eigenvalues of I - A.
     """
     band = kernel_band()
-    included = [i for i in range(p.carrier.size) if 1.0 - p.values[i] < band]
-    sub = FinSet(tuple(p.carrier.labels[i] for i in included))
+    included = np.flatnonzero(1.0 - p.values < band)
+    sub = FinSet(tuple(map(p.carrier.labels.__getitem__, included.tolist())))
     return sub, deterministic(included, sub, p.carrier)
 
 
@@ -201,9 +202,9 @@ def predicate_as_map(p: FuzzyPredicate) -> StochasticMap:
     """The branching kernel X -> X + X determined by p (its own classifier)."""
     n = p.carrier.size
     m = np.zeros((n, 2 * n))
-    for i in range(n):
-        m[i, i] = p.values[i]
-        m[i, n + i] = 1.0 - p.values[i]
+    points = np.arange(n)
+    m[points, points] = p.values
+    m[points, n + points] = 1.0 - p.values
     return StochasticMap(p.carrier, doubled_carrier(p.carrier), m)
 
 

@@ -85,19 +85,29 @@ MO1 = mo_free(1)
     {"sums": {**MO1.sums, (-1, 0): 0}},
     {"sums": {**MO1.sums, (2, 2): -1}},
     {"sums": {**MO1.sums, (2**70, 0): 0}},
+    {"sums": {**MO1.sums, (2, 2): 1.5}},
+    {"sums": {**MO1.sums, (0.5, 0): 0}},
     {"perp": {0: 1}},
     {"perp": (1, 0, 3, 4)},
     {"perp": (1, 0, 3, 2**70)},
+    {"perp": (1, 0, 3.5, 2)},
     {"zero": 4},
     {"one": -1},
     {"size": 0},
     {"size": MAX_ELEMENTS + 1},
 ], ids=["sum-key", "sum-column", "negative-key", "negative-value", "sum-overflow",
-        "partial-perp", "perp-value", "perp-overflow", "zero", "one", "empty", "oversized"])
+        "sum-fraction", "key-fraction", "partial-perp", "perp-value", "perp-overflow",
+        "perp-fraction", "zero", "one", "empty", "oversized"])
 def test_every_malformed_table_is_refused_when_built(fields):
     """No operation sees an unknown id: the table is refused before any of them runs."""
     with pytest.raises(MalformedAlgebraError):
         dataclasses.replace(MO1, **fields)
+
+
+def test_fractional_ids_are_refused_not_truncated():
+    # int() would read 1.9 as 1 and (1.7, 0.2) as (1, 0): a lawful MO(0)
+    with pytest.raises(MalformedAlgebraError, match="not an integer"):
+        FiniteEffectAlgebra(2, 0, 1, {(0, 0): 0, (0, 1): 1.9, (1, 0): 1}, (1.7, 0.2))
 
 
 def test_witnesses_are_row_major_whatever_the_insertion_order():

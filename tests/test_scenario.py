@@ -1043,17 +1043,20 @@ class TestTextLayer:
 
     @pytest.mark.parametrize("prec", [0, 3, 9, 17])
     def test_lists_match_entrywise_reference(self, prec):
-        carrier = classical.finset("a", "b%", "c")
-        values = np.array([-0.0, 1e-300, 1.0 - 1e-17])
+        # labels that a template would read as conversions or escapes
+        carrier = classical.finset("a", "b%", "%s", "%%s%", "c")
+        values = np.array([-0.0, 1e-300, 1.0 - 1e-17, 0.125, 1.0])
+        weights = np.array([0.25, -0.0, 0.25, 1.0 / 3.0, 0.0])
+        weights[-1] = 1.0 - weights.sum()
         fuzzy = stochastic.FuzzyPredicate(carrier, values)
-        dist = stochastic.Distribution(carrier, np.array([0.5, -0.0, 0.5]))
+        dist = stochastic.Distribution(carrier, weights)
 
         def fixed(x):
             return f"{0.0 if x == 0.0 else x:.{prec}f}"
 
         assert format_value(fuzzy, prec) == "[" + ", ".join(fixed(v) for v in values) + "]"
-        assert format_value(dist, prec) == (
-            "{a: " + fixed(0.5) + ", b%: " + fixed(0.0) + ", c: " + fixed(0.5) + "}")
+        assert format_value(dist, prec) == "{" + ", ".join(
+            label + ": " + fixed(w) for label, w in zip(carrier.labels, weights)) + "}"
         assert format_value(-0.0, prec) == fixed(0.0)
 
 
